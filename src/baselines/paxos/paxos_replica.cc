@@ -123,17 +123,17 @@ void PaxosReplica::TryPropose() {
   if (proposer_quiesced()) return;
   while (pipeline_.CanOpen(log_.UncommittedSlots())) {
     auto [seq, batch] = pipeline_.Open();
+    const Payload encoded = batch.Encode();
+    const Payload frame = PaxosAcceptMsg{view_, seq, encoded}.ToMessage();
     SlotCore& slot = log_.Slot(seq);
-    slot.batch = std::move(batch);
+    slot.batch = Batch::DecodeFrameTail(frame, encoded.size());
     slot.has_batch = true;
-    const Bytes encoded = slot.batch.Encode();
     ChargeHash(encoded.size());
     slot.digest = Digest::Of(encoded);
     slot.view = view_;
     RecordVote(slot.plain_votes, slot.digest, id_);
 
-    PaxosAcceptMsg accept{view_, seq, encoded};
-    SendToMany(config_.AllReplicas(), accept.ToMessage());
+    SendToMany(config_.AllReplicas(), frame);
   }
 }
 
@@ -154,7 +154,7 @@ void PaxosReplica::HandleAccept(PrincipalId from, PaxosAcceptMsg msg) {
     slot.batch = std::move(batch_or).value();
     slot.has_batch = true;
     ChargeHash(msg.batch.size());
-    slot.digest = FrameFieldDigest(msg.batch, msg.batch_offset);
+    slot.digest = FrameFieldDigest(msg.batch);
     slot.view = msg.view;
   }
 
@@ -290,7 +290,6 @@ void PaxosReplica::AdvanceStable(uint64_t seq, const Digest& digest,
   }
   // Garbage collection (paper §5.1 "State Transfer").
   log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
 }
 
 void PaxosReplica::RequestStateFrom(PrincipalId target) {
@@ -465,11 +464,11 @@ void PaxosReplica::MaybeFormNewView(uint64_t new_view) {
   nv.stable_seq = max_stable;
   for (uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
     auto chosen_it = chosen.find(seq);
-    Batch batch =
-        chosen_it != chosen.end() ? chosen_it->second.second : Batch::Noop();
     PaxosNewViewEntry entry;
     entry.seq = seq;
-    entry.batch = batch.Encode();
+    entry.batch = chosen_it != chosen.end()
+                      ? chosen_it->second.second.encoded()
+                      : Batch::Noop().encoded();
     nv.entries.push_back(std::move(entry));
   }
   SendToMany(config_.AllReplicas(), nv.ToMessage());
@@ -522,7 +521,7 @@ void PaxosReplica::HandleNewView(PrincipalId from, PaxosNewViewMsg msg) {
     slot.batch = std::move(batch_or).value();
     slot.has_batch = true;
     ChargeHash(wire_entry.batch.size());
-    slot.digest = FrameFieldDigest(wire_entry.batch, wire_entry.batch_offset);
+    slot.digest = FrameFieldDigest(wire_entry.batch);
     slot.view = new_view;
     slot.committed = was_committed;
 

@@ -50,9 +50,9 @@ void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
       break;
     case kPbftViewChange:
       // The body signature covers the whole frame; validate from the raw
-      // bytes (ParseViewChange runs the typed decode internally; the record
-      // keeps an owned copy regardless, so copy out of the shared frame).
-      HandleViewChange(from, frame.ToBytes());
+      // bytes (ParseViewChange runs the typed decode internally). The record
+      // keeps the shared frame itself.
+      HandleViewChange(from, frame);
       break;
     case kPbftNewView: {
       Result<PbftNewViewMsg> msg = PbftNewViewMsg::DecodeFrom(
@@ -153,26 +153,25 @@ void PbftCoreReplica::TryPropose() {
       continue;  // keep no honest slot; we are lying anyway
     }
 
-    const Bytes encoded = batch.Encode();
-    EmitPrePrepare(seq, batch, encoded);
+    EmitPrePrepare(seq, batch.Encode());
   }
 }
 
-void PbftCoreReplica::EmitPrePrepare(uint64_t seq, const Batch& batch,
-                                     const Bytes& encoded) {
+void PbftCoreReplica::EmitPrePrepare(uint64_t seq, const Payload& encoded) {
   ChargeHash(encoded.size());
   PbftPrePrepareMsg pp{view_, seq, Digest::Of(encoded), Signature(), encoded};
   ChargeSign();
   pp.sig = signer_.Sign(pp.Header());
+  const Payload frame = pp.ToMessage();
 
   SlotCore& slot = log_.Slot(seq);
-  slot.batch = batch;
+  slot.batch = Batch::DecodeFrameTail(frame, encoded.size());
   slot.has_batch = true;
   slot.digest = pp.digest;
   slot.view = view_;
   slot.primary_sig = pp.sig;
 
-  SendToMany(config_.AllReplicas(), pp.ToMessage());
+  SendToMany(config_.AllReplicas(), frame);
 }
 
 void PbftCoreReplica::HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg) {
@@ -193,7 +192,7 @@ void PbftCoreReplica::HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg) 
     return;
   }
   ChargeHash(msg.batch.size());
-  if (FrameFieldDigest(msg.batch, msg.batch_offset) != msg.digest) return;
+  if (FrameFieldDigest(msg.batch) != msg.digest) return;
   Result<Batch> batch_or = Batch::Decode(msg.batch);
   if (!batch_or.ok()) return;
   Batch batch = std::move(batch_or).value();
@@ -390,7 +389,6 @@ void PbftCoreReplica::AdvanceStable(uint64_t seq, const Digest& digest,
     RequestStateFrom(helper);
   }
   log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
   if (IsPrimary() && !in_view_change_) TryPropose();  // window may have moved
 }
 
@@ -436,7 +434,6 @@ void PbftCoreReplica::HandleStateResponse(PrincipalId from,
   durable().NoteStable(seq, cert);
   ckpt_.InstallRestored(seq, digest, std::move(cert), std::move(snapshot));
   log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
 }
 
 void PbftCoreReplica::OnDurableRestore(const RecoveredImage& image) {
@@ -506,9 +503,9 @@ void PbftCoreReplica::StartViewChange(uint64_t new_view) {
     proofs.push_back(std::move(proof));
   });
   ChargeSign();
-  const Bytes raw = PbftViewChangeMsg::Build(new_view, stable,
-                                             ckpt_.stable_cert(), proofs,
-                                             signer_);
+  const Payload raw = PbftViewChangeMsg::Build(new_view, stable,
+                                               ckpt_.stable_cert(), proofs,
+                                               signer_);
   SendToMany(config_.AllReplicas(), raw);
 
   Result<ViewChangeRecord> record = ParseViewChange(raw, id_);
@@ -525,14 +522,14 @@ void PbftCoreReplica::StartViewChange(uint64_t new_view) {
 }
 
 Result<PbftCoreReplica::ViewChangeRecord> PbftCoreReplica::ParseViewChange(
-    const Bytes& raw, PrincipalId from) {
+    const Payload& raw, PrincipalId from) {
   SEEMORE_ASSIGN_OR_RETURN(PbftViewChangeMsg msg,
                            PbftViewChangeMsg::DecodeFrom(raw, window_ + 1));
   return ValidateViewChange(std::move(msg), raw, from);
 }
 
 Result<PbftCoreReplica::ViewChangeRecord> PbftCoreReplica::ValidateViewChange(
-    PbftViewChangeMsg msg, const Bytes& raw, PrincipalId from) {
+    PbftViewChangeMsg msg, const Payload& raw, PrincipalId from) {
   if (msg.sender != from) return Status::Corruption("sender mismatch");
   if (!msg.VerifySignature(*keystore_, raw)) {
     return Status::Corruption("bad VC signature");
@@ -564,7 +561,7 @@ Result<PbftCoreReplica::ViewChangeRecord> PbftCoreReplica::ValidateViewChange(
   return record;
 }
 
-void PbftCoreReplica::HandleViewChange(PrincipalId from, const Bytes& raw) {
+void PbftCoreReplica::HandleViewChange(PrincipalId from, const Payload& raw) {
   // Peek the target view before paying full validation.
   const uint64_t new_view = PbftViewChangeMsg::PeekNewView(raw);
   if (new_view <= view_) return;
@@ -689,7 +686,7 @@ void PbftCoreReplica::HandleNewView(PrincipalId from, PbftNewViewMsg msg) {
   // Re-validate the embedded view-change quorum.
   std::map<PrincipalId, ViewChangeRecord> records;
   ChargeVerify(static_cast<int>(msg.view_changes.size()) * 2);
-  for (const Bytes& raw : msg.view_changes) {
+  for (const Payload& raw : msg.view_changes) {
     // The sender id is part of the signed body; decode it from the frame
     // itself instead of trusting the new primary.
     Result<PbftViewChangeMsg> vc_or =

@@ -58,7 +58,7 @@ class PbftCoreReplica : public ReplicaBase {
 
  private:
   struct ViewChangeRecord {
-    Bytes raw;  // full message, embedded into NEW-VIEW as proof
+    Payload raw;  // full message, embedded into NEW-VIEW as proof
     uint64_t stable_seq = 0;
     CheckpointCert cert;
     std::map<uint64_t, PreparedProof> proofs;
@@ -74,7 +74,7 @@ class PbftCoreReplica : public ReplicaBase {
   void HandleRequest(PrincipalId from, Request request);
   void PrimaryEnqueue(Request request);
   void TryPropose();
-  void EmitPrePrepare(uint64_t seq, const Batch& batch, const Bytes& encoded);
+  void EmitPrePrepare(uint64_t seq, const Payload& encoded);
   void HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg);
   void HandlePrepare(PrincipalId from, PbftPrepareMsg msg);
   void HandleCommit(PrincipalId from, PbftCommitMsg msg);
@@ -99,13 +99,14 @@ class PbftCoreReplica : public ReplicaBase {
   void StartViewChange(uint64_t new_view);
   /// Structural decode (wire/messages.h) + semantic validation of a raw
   /// VIEW-CHANGE frame: body signature, checkpoint cert, prepared proofs.
-  Result<ViewChangeRecord> ParseViewChange(const Bytes& raw, PrincipalId from);
+  Result<ViewChangeRecord> ParseViewChange(const Payload& raw,
+                                           PrincipalId from);
   /// Semantic half of ParseViewChange for an already-decoded frame (avoids
   /// double decoding when NEW-VIEW processing has the typed message).
   Result<ViewChangeRecord> ValidateViewChange(PbftViewChangeMsg msg,
-                                              const Bytes& raw,
+                                              const Payload& raw,
                                               PrincipalId from);
-  void HandleViewChange(PrincipalId from, const Bytes& raw);
+  void HandleViewChange(PrincipalId from, const Payload& raw);
   void MaybeJoinViewChange();
   void MaybeFormNewView(uint64_t new_view);
   /// Deterministic re-proposal computation shared by the new primary and by

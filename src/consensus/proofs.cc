@@ -67,7 +67,7 @@ Result<PreparedProof> PreparedProof::DecodeFrom(Decoder& dec) {
   proof.view = dec.GetU64();
   proof.seq = dec.GetU64();
   proof.digest = Digest::DecodeFrom(dec);
-  Bytes batch_bytes = dec.GetBytes();
+  const Payload batch_bytes = dec.GetPayload();
   if (!dec.ok()) return dec.status();
   SEEMORE_ASSIGN_OR_RETURN(proof.batch, Batch::Decode(batch_bytes));
   proof.primary_sig = Signature::DecodeFrom(dec);

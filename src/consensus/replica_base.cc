@@ -77,13 +77,6 @@ void ReplicaBase::OnMessage(PrincipalId from, Payload payload) {
   if (HasByz(kByzSilent)) return;
   ++stats_.messages_handled;
   Charge(costs_.recv_fixed + costs_.PayloadCost(payload.size()));
-  // Deferred checkpoint-GC rewind: only at a message boundary (and only at
-  // the outermost dispatch), so scratch taken by an in-flight handler can
-  // never be pulled out from under it.
-  if (scratch_reset_pending_ && current_frame_.empty()) {
-    scratch_.Reset();
-    scratch_reset_pending_ = false;
-  }
   // Save/restore keeps the frame alive (and the memo keyed correctly) even
   // if a transport ever delivers a nested message synchronously.
   Payload prev = std::exchange(current_frame_, std::move(payload));

@@ -22,7 +22,6 @@
 #include "net/cost_model.h"
 #include "net/transport.h"
 #include "smr/command.h"
-#include "util/arena.h"
 
 namespace seemore {
 
@@ -113,34 +112,14 @@ class ReplicaBase : public MessageHandler {
   /// simulated time is bit-identical whether the memo hits or misses (the
   /// charge-vs-compute rule, DESIGN.md §"Engine internals").
 
-  /// D(field) where `field` was decoded verbatim from the current frame at
-  /// `offset_in_frame` (the decoder-recorded batch_offset). The first
-  /// receiver of a multicast pays the real SHA-256; the rest reuse it.
-  /// Falls back to a plain hash when the range cannot alias the frame.
-  Digest FrameFieldDigest(const Bytes& field, size_t offset_in_frame) const {
-    const uint64_t buffer_id =
-        offset_in_frame + field.size() <= current_frame_.size()
-            ? current_frame_.id()
-            : 0;
-    return memo_->DigestOf(buffer_id, offset_in_frame, field.data(),
+  /// D(field) for an encoded field decoded from a delivered frame. The
+  /// field's (id, offset) names its bytes within that frame, so the first
+  /// receiver of a multicast pays the real SHA-256 and the rest reuse it;
+  /// a field copied out of a pooled read block has an id of its own and is
+  /// simply hashed.
+  Digest FrameFieldDigest(const Payload& field) const {
+    return memo_->DigestOf(field.id(), field.offset(), field.data(),
                            field.size());
-  }
-
-  /// Batched FrameFieldDigest: resolve all `n` fields of the current frame
-  /// through one CryptoMemo pass (DigestOfMany). Used by certificate-style
-  /// frames (view-change NEW-VIEW entries) that embed many digestable
-  /// batches; the batch digests land in `out[i]`.
-  void FrameFieldDigests(const CryptoMemo::DigestSpan* spans, size_t n,
-                         Digest* out) const {
-    // Spans that cannot alias the frame fall back to unmemoized hashing.
-    uint64_t buffer_id = current_frame_.id();
-    for (size_t i = 0; i < n; ++i) {
-      if (spans[i].offset + spans[i].len > current_frame_.size()) {
-        buffer_id = 0;
-        break;
-      }
-    }
-    memo_->DigestOfMany(buffer_id, spans, n, out);
   }
 
   /// Memoized `verify()` keyed on (current frame, signer, slot). `signer`
@@ -178,16 +157,6 @@ class ReplicaBase : public MessageHandler {
   /// change that its silence provokes hands leadership elsewhere).
   bool proposer_quiesced() const { return proposer_quiesced_; }
   void ClearProposerQuiescence() { proposer_quiesced_ = false; }
-
-  /// --- scratch memory ---------------------------------------------------
-  /// Per-replica bump arena for handler-local temporaries (span tables,
-  /// sort scratch). Memory is reclaimed wholesale at checkpoint boundaries:
-  /// protocols call NoteCheckpointGc() beside InstanceLog::Reclaim, and the
-  /// arena rewinds at the next message boundary — never mid-handler, so
-  /// scratch taken anywhere in the current dispatch stays valid until the
-  /// handler returns. See util/arena.h for the lifetime contract.
-  Arena& scratch_arena() { return scratch_; }
-  void NoteCheckpointGc() { scratch_reset_pending_ = true; }
 
   /// --- voting -----------------------------------------------------------
   /// Offer a vote to a slot tracker, folding any equivocation flag into the
@@ -265,8 +234,6 @@ class ReplicaBase : public MessageHandler {
   /// in the simulator.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   Payload current_frame_;  // frame being handled (empty when idle)
-  Arena scratch_;  // handler-local scratch, reset at checkpoint boundaries
-  bool scratch_reset_pending_ = false;
 };
 
 }  // namespace seemore

@@ -25,9 +25,7 @@ class Digest {
   static Digest Of(const uint8_t* data, size_t len) {
     return Digest(Sha256::Hash(data, len));
   }
-  static Digest Of(const std::vector<uint8_t>& data) {
-    return Of(data.data(), data.size());
-  }
+  static Digest Of(ByteSpan data) { return Of(data.data(), data.size()); }
   static Digest Of(const std::string& data) {
     return Of(reinterpret_cast<const uint8_t*>(data.data()), data.size());
   }

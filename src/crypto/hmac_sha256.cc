@@ -59,6 +59,17 @@ std::array<uint8_t, HmacSha256::kTagSize> HmacSha256::Mac(
   return out;
 }
 
+std::array<uint8_t, HmacSha256::kTagSize> HmacSha256::Mac(
+    const HmacKeySchedule& schedule, const uint8_t* head, size_t head_len,
+    const uint8_t* body, size_t body_len) {
+  HmacSha256 mac(schedule);
+  if (head_len > 0) mac.Update(head, head_len);
+  if (body_len > 0) mac.Update(body, body_len);
+  std::array<uint8_t, kTagSize> out;
+  mac.Final(out.data());
+  return out;
+}
+
 bool HmacSha256::Equal(const uint8_t* a, const uint8_t* b, size_t len) {
   uint8_t diff = 0;
   for (size_t i = 0; i < len; ++i) diff |= a[i] ^ b[i];

@@ -71,6 +71,12 @@ class HmacSha256 {
   }
   static std::array<uint8_t, kTagSize> Mac(const HmacKeySchedule& schedule,
                                            const uint8_t* data, size_t len);
+  /// MAC over head || body, absorbed in two parts (no concatenated copy).
+  static std::array<uint8_t, kTagSize> Mac(const HmacKeySchedule& schedule,
+                                           const uint8_t* head,
+                                           size_t head_len,
+                                           const uint8_t* body,
+                                           size_t body_len);
 
   /// Constant-time tag comparison.
   static bool Equal(const uint8_t* a, const uint8_t* b, size_t len);

@@ -33,4 +33,12 @@ bool KeyStore::Verify(PrincipalId signer, const uint8_t* msg, size_t len,
   return HmacSha256::Equal(expected.data(), sig.data(), Signature::kSize);
 }
 
+bool KeyStore::Verify(PrincipalId signer, const uint8_t* head,
+                      size_t head_len, const uint8_t* body, size_t body_len,
+                      const Signature& sig) const {
+  auto expected =
+      HmacSha256::Mac(ScheduleFor(signer), head, head_len, body, body_len);
+  return HmacSha256::Equal(expected.data(), sig.data(), Signature::kSize);
+}
+
 }  // namespace seemore

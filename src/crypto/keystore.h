@@ -87,6 +87,11 @@ class KeyStore {
   bool Verify(PrincipalId signer, const B& msg, const Signature& sig) const {
     return Verify(signer, msg.data(), msg.size(), sig);
   }
+  /// Two-part form: verifies a signature over head || body without
+  /// building the concatenation (Request signs its header, then op).
+  bool Verify(PrincipalId signer, const uint8_t* head, size_t head_len,
+              const uint8_t* body, size_t body_len,
+              const Signature& sig) const;
 
   /// Derive the secret key for a principal. Only the Signer factory below
   /// should call this; protocol code never touches raw keys.
@@ -117,6 +122,13 @@ class Signer {
   template <typename B>
   Signature Sign(const B& msg) const {
     return Sign(msg.data(), msg.size());
+  }
+  /// Two-part form: signs head || body without building the concatenation
+  /// (same signature as Sign over the concatenated bytes).
+  Signature Sign(const uint8_t* head, size_t head_len, const uint8_t* body,
+                 size_t body_len) const {
+    return Signature(
+        HmacSha256::Mac(schedule_, head, head_len, body, body_len));
   }
 
  private:

@@ -50,26 +50,6 @@ class CryptoMemo {
   /// which computes without caching.
   Digest DigestOf(uint64_t buffer_id, size_t offset, const uint8_t* data,
                   size_t len);
-  Digest DigestOf(uint64_t buffer_id, size_t offset, const Bytes& bytes) {
-    return DigestOf(buffer_id, offset, bytes.data(), bytes.size());
-  }
-
-  /// One span of a frame for batched digesting: `data` must point at the
-  /// verbatim subrange [offset, offset+len) of the buffer (same
-  /// precondition as DigestOf).
-  struct DigestSpan {
-    size_t offset;
-    const uint8_t* data;
-    size_t len;
-  };
-
-  /// Batched digests: resolve all `n` spans of one frame in a single pass,
-  /// computing only the ones no receiver has digested yet. Equivalent to n
-  /// DigestOf calls; exists so multi-field frames (a proposal's batch plus
-  /// the per-entry batches of a view-change certificate) are handled as one
-  /// memo transaction per receiver rather than per-field re-entry.
-  void DigestOfMany(uint64_t buffer_id, const DigestSpan* spans, size_t n,
-                    Digest* out);
 
   /// Memoized signature verification: returns `verify()` for the first
   /// caller and the cached boolean afterwards. `signer` and `slot`

@@ -93,19 +93,6 @@ RunResult RunClosedLoop(Cluster& cluster, int num_clients, OpFactory ops,
   return result;
 }
 
-std::vector<RunResult> SweepClients(
-    const std::function<std::unique_ptr<Cluster>()>& make_cluster,
-    const std::vector<int>& client_counts, const OpFactory& ops,
-    SimTime warmup, SimTime measure) {
-  std::vector<RunResult> results;
-  results.reserve(client_counts.size());
-  for (int count : client_counts) {
-    std::unique_ptr<Cluster> cluster = make_cluster();
-    results.push_back(RunClosedLoop(*cluster, count, ops, warmup, measure));
-  }
-  return results;
-}
-
 void ThroughputTimeline::Record(SimTime when) {
   const size_t bucket = static_cast<size_t>(when / bucket_width);
   if (buckets.size() <= bucket) buckets.resize(bucket + 1, 0);

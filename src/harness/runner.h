@@ -51,14 +51,6 @@ OpFactory KvWorkload(uint64_t seed, int key_space, double put_fraction);
 RunResult RunClosedLoop(Cluster& cluster, int num_clients, OpFactory ops,
                         SimTime warmup, SimTime measure);
 
-/// Sweep the client count and collect one RunResult per population size,
-/// producing one throughput/latency curve (one line of Figure 2/3). A fresh
-/// cluster is built per point via `make_cluster`.
-std::vector<RunResult> SweepClients(
-    const std::function<std::unique_ptr<Cluster>()>& make_cluster,
-    const std::vector<int>& client_counts, const OpFactory& ops,
-    SimTime warmup, SimTime measure);
-
 /// Timeline of completions in fixed buckets (Figure 4).
 struct ThroughputTimeline {
   SimTime bucket_width = Millis(1);

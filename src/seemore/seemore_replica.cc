@@ -204,7 +204,7 @@ void SeeMoReReplica::TryPropose() {
   while (pipeline_.CanOpen(log_.UncommittedSlots()) &&
          pipeline_.next_seq() <= ckpt_.stable_seq() + window_) {
     auto [seq, batch] = pipeline_.Open();
-    const Bytes encoded = batch.Encode();
+    const Payload encoded = batch.Encode();  // the proposal's one encode
     ChargeHash(encoded.size());
     Digest digest = Digest::Of(encoded);
     const uint8_t mode8 = static_cast<uint8_t>(mode_);
@@ -212,8 +212,7 @@ void SeeMoReReplica::TryPropose() {
     // A Byzantine Peacock primary may equivocate; trusted primaries cannot
     // be flagged (tests assert this invariant).
     if (HasByz(kByzEquivocate) && mode_ == SeeMoReMode::kPeacock) {
-      Batch alt = Batch::Noop();
-      const Bytes alt_encoded = alt.Encode();
+      const Payload alt_encoded = Batch::Noop().Encode();
       const Digest alt_digest = Digest::Of(alt_encoded);
       SmPrepareMsg prep_a{mode8, view_, seq, digest, Signature(), encoded};
       SmPrepareMsg prep_b{mode8, view_, seq, alt_digest, Signature(),
@@ -234,9 +233,10 @@ void SeeMoReReplica::TryPropose() {
     ChargeSign();
     SmPrepareMsg prepare{mode8, view_, seq, digest, Signature(), encoded};
     prepare.sig = signer_.Sign(prepare.Header());
+    const Payload frame = prepare.ToMessage();
 
     SlotCore& slot = log_.Slot(seq);
-    slot.batch = std::move(batch);
+    slot.batch = Batch::DecodeFrameTail(frame, encoded.size());
     slot.has_batch = true;
     slot.digest = digest;
     slot.view = view_;
@@ -245,7 +245,7 @@ void SeeMoReReplica::TryPropose() {
 
     // In every mode the proposal is multicast to ALL replicas (Algorithm 1
     // line 8, Algorithm 2 line 9, §5.3 change #1).
-    SendToMany(config_.AllReplicas(), prepare.ToMessage());
+    SendToMany(config_.AllReplicas(), frame);
 
     if (mode_ == SeeMoReMode::kLion) {
       RecordVote(slot.plain_votes, digest, id_);  // the primary counts itself
@@ -290,7 +290,7 @@ void SeeMoReReplica::HandlePrepare(PrincipalId from, SmPrepareMsg msg) {
   }
 
   ChargeHash(msg.batch.size());
-  if (FrameFieldDigest(msg.batch, msg.batch_offset) != msg.digest) return;
+  if (FrameFieldDigest(msg.batch) != msg.digest) return;
   Result<Batch> batch_or = Batch::Decode(msg.batch);
   if (!batch_or.ok()) return;
   Batch batch = std::move(batch_or).value();
@@ -398,7 +398,7 @@ void SeeMoReReplica::HandleAcceptPlain(PrincipalId from, SmAcceptPlainMsg msg) {
   commit.seq = msg.seq;
   commit.digest = slot.digest;
   commit.sig = signer_.Sign(commit.Header());
-  commit.batch = slot.batch.Encode();
+  commit.batch = slot.batch.encoded();  // the bytes the slot verified
   slot.commit_sig = commit.sig;
   slot.has_commit_sig = true;
   SendToMany(config_.AllReplicas(), commit.ToMessage());
@@ -433,7 +433,7 @@ void SeeMoReReplica::HandleCommitPrimary(PrincipalId from,
   // the request as committed" — the commit carries µ (§5.1).
   if (!slot.has_batch || slot.digest != msg.digest) {
     ChargeHash(msg.batch.size());
-    if (FrameFieldDigest(msg.batch, msg.batch_offset) != msg.digest) return;
+    if (FrameFieldDigest(msg.batch) != msg.digest) return;
     Result<Batch> batch_or = Batch::Decode(msg.batch);
     if (!batch_or.ok()) return;
     slot.batch = std::move(batch_or).value();
@@ -723,7 +723,6 @@ void SeeMoReReplica::AdvanceStable(uint64_t seq, const Digest& digest,
     RequestStateFrom(helper);
   }
   log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
   if (IsPrimary() && !in_view_change_) TryPropose();
 }
 
@@ -791,7 +790,6 @@ void SeeMoReReplica::HandleStateResponse(PrincipalId from,
   durable().NoteStable(seq, cert);
   ckpt_.InstallRestored(seq, digest, std::move(cert), std::move(snapshot));
   log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
 }
 
 void SeeMoReReplica::OnDurableRestore(const RecoveredImage& image) {

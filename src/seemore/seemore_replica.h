@@ -63,6 +63,8 @@ class SeeMoReReplica : public ReplicaBase {
   int uncommitted_slots() const { return log_.UncommittedSlots(); }
   /// Diagnostics: live instance-log slots (property tests bound this).
   size_t log_occupancy() const { return log_.occupied(); }
+  /// Diagnostics: the live log slot for `seq`, or null.
+  const SlotCore* slot(uint64_t seq) const { return log_.Find(seq); }
   bool IsPrimary() const { return current_primary() == id_; }
 
   /// Dynamic mode switching (§5.4). Must be invoked on the trusted replica

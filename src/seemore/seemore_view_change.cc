@@ -459,7 +459,7 @@ void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
     entry.view = new_view;
     entry.seq = seq;
     entry.digest = cand.digest;
-    entry.batch = cand.batch.Encode();
+    entry.batch = cand.batch.encoded();
     entry.sig = signer_.Sign(
         ProposalHeader(kDomainCommit, mode8, new_view, seq, cand.digest));
     nv.commits.push_back(std::move(entry));
@@ -470,7 +470,7 @@ void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
     entry.view = new_view;
     entry.seq = seq;
     entry.digest = cand.digest;
-    entry.batch = cand.batch.Encode();
+    entry.batch = cand.batch.encoded();
     entry.sig = signer_.Sign(
         ProposalHeader(kDomainPrePrepare, mode8, new_view, seq, cand.digest));
     nv.prepares.push_back(std::move(entry));
@@ -562,27 +562,6 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     Batch batch;
     Signature sig;
   };
-  // Batch-resolve every embedded batch digest in one memo pass: the first
-  // receiver of this NEW-VIEW hashes them all, the rest reuse the answers.
-  // Simulated charges stay per-entry inside the loops below, so a malformed
-  // certificate still costs exactly what it did when digests were computed
-  // one at a time.
-  // Span table and digest results live in the replica's scratch arena
-  // (reset at checkpoint boundaries): zero heap traffic per NEW-VIEW.
-  const size_t n_spans = msg.commits.size() + msg.prepares.size();
-  CryptoMemo::DigestSpan* spans =
-      scratch_arena().AllocateArray<CryptoMemo::DigestSpan>(n_spans);
-  size_t si = 0;
-  for (const SmNewViewEntry& e : msg.commits) {
-    spans[si++] = {e.batch_offset, e.batch.data(), e.batch.size()};
-  }
-  for (const SmNewViewEntry& e : msg.prepares) {
-    spans[si++] = {e.batch_offset, e.batch.data(), e.batch.size()};
-  }
-  Digest* batch_digests = scratch_arena().AllocateArray<Digest>(n_spans);
-  if (n_spans > 0) FrameFieldDigests(spans, n_spans, batch_digests);
-  size_t span_idx = 0;
-
   std::vector<Entry> commit_entries;
   for (SmNewViewEntry& wire_entry : msg.commits) {
     Entry entry;
@@ -591,7 +570,7 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     entry.sig = wire_entry.sig;
     if (wire_entry.view != new_view) return;
     ChargeHash(wire_entry.batch.size());
-    if (batch_digests[span_idx++] != entry.digest) return;
+    if (FrameFieldDigest(wire_entry.batch) != entry.digest) return;
     Result<Batch> batch_or = Batch::Decode(wire_entry.batch);
     if (!batch_or.ok()) return;
     entry.batch = std::move(batch_or).value();
@@ -612,7 +591,7 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     entry.sig = wire_entry.sig;
     if (wire_entry.view != new_view) return;
     ChargeHash(wire_entry.batch.size());
-    if (batch_digests[span_idx++] != entry.digest) return;
+    if (FrameFieldDigest(wire_entry.batch) != entry.digest) return;
     Result<Batch> batch_or = Batch::Decode(wire_entry.batch);
     if (!batch_or.ok()) return;
     entry.batch = std::move(batch_or).value();

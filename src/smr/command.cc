@@ -2,26 +2,60 @@
 
 namespace seemore {
 
-Bytes Request::SignedPayload() const {
-  Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(client));
-  enc.PutU64(timestamp);
-  enc.PutBytes(op);
-  return enc.Take();
+namespace {
+
+/// The signed fields ahead of op's bytes: client, timestamp and op's length
+/// prefix, byte-identical to what Request::EncodeTo writes first.
+struct SignedHead {
+  uint8_t bytes[4 + 8 + 10];
+  size_t len = 0;
+};
+
+SignedHead SignedHeadOf(const Request& request) {
+  SignedHead head;
+  const uint32_t client = static_cast<uint32_t>(request.client);
+  for (int i = 0; i < 4; ++i) {
+    head.bytes[head.len++] = static_cast<uint8_t>(client >> (8 * i));
+  }
+  for (int i = 0; i < 8; ++i) {
+    head.bytes[head.len++] = static_cast<uint8_t>(request.timestamp >> (8 * i));
+  }
+  uint64_t len = request.op.size();
+  while (len >= 0x80) {
+    head.bytes[head.len++] = static_cast<uint8_t>(len) | 0x80;
+    len >>= 7;
+  }
+  head.bytes[head.len++] = static_cast<uint8_t>(len);
+  return head;
 }
 
-Digest Request::ComputeDigest() const { return Digest::Of(SignedPayload()); }
+}  // namespace
 
-void Request::Sign(const Signer& signer) { sig = signer.Sign(SignedPayload()); }
+Digest Request::ComputeDigest() const {
+  const SignedHead head = SignedHeadOf(*this);
+  Sha256 hasher;
+  hasher.Update(head.bytes, head.len);
+  if (!op.empty()) hasher.Update(op.data(), op.size());
+  std::array<uint8_t, Sha256::kDigestSize> out;
+  hasher.Final(out.data());
+  return Digest(out);
+}
+
+void Request::Sign(const Signer& signer) {
+  const SignedHead head = SignedHeadOf(*this);
+  sig = signer.Sign(head.bytes, head.len, op.data(), op.size());
+}
 
 bool Request::VerifySignature(const KeyStore& keystore) const {
-  return keystore.Verify(client, SignedPayload(), sig);
+  const SignedHead head = SignedHeadOf(*this);
+  return keystore.Verify(client, head.bytes, head.len, op.data(), op.size(),
+                         sig);
 }
 
 void Request::EncodeTo(Encoder& enc) const {
   enc.PutU32(static_cast<uint32_t>(client));
   enc.PutU64(timestamp);
-  enc.PutBytes(op);
+  enc.PutBytes(op.data(), op.size());
   sig.EncodeTo(enc);
 }
 
@@ -33,7 +67,7 @@ Result<Request> Request::DecodeFrom(Decoder& dec) {
   Request req;
   req.client = static_cast<PrincipalId>(dec.GetU32());
   req.timestamp = dec.GetU64();
-  req.op = dec.GetBytes();
+  req.op = dec.GetPayload();
   req.sig = Signature::DecodeFrom(dec);
   if (!dec.ok()) return dec.status();
   return req;

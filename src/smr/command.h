@@ -13,6 +13,7 @@
 #include "crypto/digest.h"
 #include "crypto/keystore.h"
 #include "util/status.h"
+#include "wire/payload.h"
 #include "wire/wire.h"
 
 namespace seemore {
@@ -23,16 +24,20 @@ inline constexpr uint8_t kMsgReply = 2;
 
 /// <REQUEST, op, ts, client>_σc (paper §5.1). The timestamp totally orders
 /// one client's requests and provides exactly-once semantics.
+///
+/// The signed fields are client, timestamp and op, encoded as EncodeTo
+/// writes them (everything but sig). Sign, VerifySignature and
+/// ComputeDigest feed that encoding to the MAC/hash in two parts — the
+/// fixed header, then op in place — so a 4 KB op is never copied to be
+/// signed. A decoded op is a slice of the frame it arrived in
+/// (Decoder::GetPayload).
 struct Request {
   PrincipalId client = 0;
   uint64_t timestamp = 0;
-  Bytes op;
+  Payload op;
   Signature sig;
 
-  /// Deterministic encoding of the signed fields (everything but sig).
-  Bytes SignedPayload() const;
-
-  /// D(µ): digest over the signed payload.
+  /// D(µ): digest over the signed fields.
   Digest ComputeDigest() const;
 
   void Sign(const Signer& signer);

@@ -82,7 +82,7 @@ KvReply ParseKvReply(const Bytes& result) {
   return out;
 }
 
-Bytes KvStateMachine::Execute(const Bytes& op) {
+Bytes KvStateMachine::Execute(ByteSpan op) {
   ++ops_applied_;
   Decoder dec(op);
   const KvOp code = static_cast<KvOp>(dec.GetU8());
@@ -127,7 +127,7 @@ Bytes KvStateMachine::Execute(const Bytes& op) {
     }
     case KvOp::kEcho: {
       uint32_t reply_size = dec.GetU32();
-      (void)dec.GetString();  // discard padding
+      dec.SkipBytes();  // padding: read past, never copied
       if (!dec.ok()) break;
       // Cap the reply so a Byzantine client cannot make replicas allocate
       // unbounded memory.

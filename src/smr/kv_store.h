@@ -56,7 +56,7 @@ class KvStateMachine : public StateMachine {
  public:
   KvStateMachine() = default;
 
-  Bytes Execute(const Bytes& op) override;
+  Bytes Execute(ByteSpan op) override;
   Bytes Snapshot() const override;
   Status Restore(const Bytes& snapshot) override;
   Digest StateDigest() const override;

@@ -60,7 +60,7 @@ LedgerReply ParseLedgerReply(const Bytes& result) {
   return out;
 }
 
-Bytes LedgerStateMachine::Execute(const Bytes& op) {
+Bytes LedgerStateMachine::Execute(ByteSpan op) {
   Decoder dec(op);
   const LedgerOp code = static_cast<LedgerOp>(dec.GetU8());
   switch (code) {

@@ -36,7 +36,7 @@ class LedgerStateMachine : public StateMachine {
  public:
   LedgerStateMachine() = default;
 
-  Bytes Execute(const Bytes& op) override;
+  Bytes Execute(ByteSpan op) override;
   Bytes Snapshot() const override;
   Status Restore(const Bytes& snapshot) override;
   Digest StateDigest() const override;

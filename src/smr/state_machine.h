@@ -23,7 +23,8 @@ class StateMachine {
   /// identical op + identical prior state => identical result and new state.
   /// Malformed operations must return an encoded error result, not crash
   /// (ops may originate from Byzantine clients).
-  virtual Bytes Execute(const Bytes& op) = 0;
+  /// `op` is read-only and only valid for the call.
+  virtual Bytes Execute(ByteSpan op) = 0;
 
   /// Serialize the full state.
   virtual Bytes Snapshot() const = 0;

@@ -38,16 +38,21 @@ Result<RecoveredImage> FileDurableStore::Recover(const StorageMedium& medium) {
   image.wal_records = wal->payloads.size();
   image.snapshots = SnapshotStore::LoadAll(medium, &image.snapshots_skipped);
 
-  for (const Bytes& payload : wal->payloads) {
-    Decoder dec(payload);
+  for (Bytes& payload : wal->payloads) {
+    // Recovered batches keep the record they came from: their ops are
+    // slices of it rather than one allocation each.
+    const Payload record(std::move(payload));
+    Decoder dec = MakeDecoder(record);
     switch (dec.GetU8()) {
       case kWalCommit: {
         const uint64_t seq = dec.GetVarint();
-        Result<Batch> batch = Batch::DecodeFrom(dec);
+        Result<Batch> batch =
+            dec.ok() ? Batch::Decode(record.Slice(dec.pos(), dec.remaining()))
+                     : Result<Batch>(dec.status());
         // The frame CRC already matched, so an undecodable payload means a
         // writer bug or in-place tampering stronger than a bit flip: refuse
         // rather than guess.
-        if (!batch.ok() || !dec.AtEnd()) {
+        if (!batch.ok()) {
           return Status::Corruption("wal commit record undecodable");
         }
         image.commits.emplace_back(seq, *std::move(batch));

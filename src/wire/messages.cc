@@ -35,12 +35,6 @@ Result<V> DecodePbftVote(Decoder& dec) {
   return msg;
 }
 
-/// Frame-relative offset of the field the immediately preceding GetBytes
-/// decoded (the decoder's read position minus the field's length).
-size_t FieldOffset(const Decoder& dec, const Bytes& field) {
-  return dec.pos() - field.size();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -65,9 +59,8 @@ Result<SmPrepareMsg> SmPrepareMsg::DecodeFrom(Decoder& dec) {
   msg.seq = dec.GetU64();
   msg.digest = Digest::DecodeFrom(dec);
   msg.sig = Signature::DecodeFrom(dec);
-  msg.batch = dec.GetBytes();
+  msg.batch = dec.GetPayload();
   if (!dec.ok()) return dec.status();
-  msg.batch_offset = FieldOffset(dec, msg.batch);
   return msg;
 }
 
@@ -129,9 +122,8 @@ Result<SmCommitPrimaryMsg> SmCommitPrimaryMsg::DecodeFrom(Decoder& dec) {
   msg.seq = dec.GetU64();
   msg.digest = Digest::DecodeFrom(dec);
   msg.sig = Signature::DecodeFrom(dec);
-  msg.batch = dec.GetBytes();
+  msg.batch = dec.GetPayload();
   if (!dec.ok()) return dec.status();
-  msg.batch_offset = FieldOffset(dec, msg.batch);
   return msg;
 }
 
@@ -160,19 +152,20 @@ Result<SmVcEntry> SmVcEntry::DecodeFrom(Decoder& dec) {
   entry.view = dec.GetU64();
   entry.seq = dec.GetU64();
   entry.digest = Digest::DecodeFrom(dec);
-  Bytes batch_bytes = dec.GetBytes();
-  const size_t batch_offset = dec.ok() ? FieldOffset(dec, batch_bytes) : 0;
+  const Payload batch_bytes = dec.GetPayload();
   entry.sig = Signature::DecodeFrom(dec);
   if (!dec.ok()) return dec.status();
-  // Memoized on the frame's buffer identity: each receiver of a multicast
-  // view-change re-validates these embedded batches, but only the first
-  // pays the real SHA-256 (the simulated cost is charged by the replica).
-  // A memo-less decoder (unit tests, own-message validation) computes the
-  // digest for real — same verdict, no sharing.
+  // Memoized on the frame's buffer identity (the slice carries it): each
+  // receiver of a multicast view-change re-validates these embedded
+  // batches, but only the first pays the real SHA-256 (the simulated cost
+  // is charged by the replica). A memo-less decoder (unit tests,
+  // own-message validation) computes the digest for real — same verdict,
+  // no sharing.
   const Digest batch_digest =
       dec.memo() != nullptr
-          ? dec.memo()->DigestOf(dec.buffer_id(), batch_offset, batch_bytes)
-          : Digest::Of(batch_bytes);
+          ? dec.memo()->DigestOf(batch_bytes.id(), batch_bytes.offset(),
+                                 batch_bytes.data(), batch_bytes.size())
+          : Digest::Of(batch_bytes.data(), batch_bytes.size());
   if (batch_digest != entry.digest) {
     return Status::Corruption("view-change entry digest mismatch");
   }
@@ -272,11 +265,9 @@ Result<SmNewViewEntry> SmNewViewEntry::DecodeFrom(Decoder& dec) {
   entry.view = dec.GetU64();
   entry.seq = dec.GetU64();
   entry.digest = Digest::DecodeFrom(dec);
-  entry.batch = dec.GetBytes();
-  const size_t batch_offset = dec.ok() ? FieldOffset(dec, entry.batch) : 0;
+  entry.batch = dec.GetPayload();
   entry.sig = Signature::DecodeFrom(dec);
   if (!dec.ok()) return dec.status();
-  entry.batch_offset = batch_offset;
   return entry;
 }
 
@@ -430,9 +421,8 @@ Result<PbftPrePrepareMsg> PbftPrePrepareMsg::DecodeFrom(Decoder& dec) {
   msg.seq = dec.GetU64();
   msg.digest = Digest::DecodeFrom(dec);
   msg.sig = Signature::DecodeFrom(dec);
-  msg.batch = dec.GetBytes();
+  msg.batch = dec.GetPayload();
   if (!dec.ok()) return dec.status();
-  msg.batch_offset = FieldOffset(dec, msg.batch);
   return msg;
 }
 
@@ -469,9 +459,9 @@ Bytes PbftViewChangeMsg::Build(uint64_t new_view, uint64_t stable_seq,
   return enc.Take();
 }
 
-Result<PbftViewChangeMsg> PbftViewChangeMsg::DecodeFrom(const Bytes& raw,
+Result<PbftViewChangeMsg> PbftViewChangeMsg::DecodeFrom(const Payload& raw,
                                                         uint64_t max_proofs) {
-  Decoder dec(raw);
+  Decoder dec = MakeDecoder(raw);
   if (dec.GetU8() != kTag || !dec.ok()) {
     return Status::Corruption("not a PBFT view-change");
   }
@@ -497,7 +487,7 @@ Result<PbftViewChangeMsg> PbftViewChangeMsg::DecodeFrom(const Bytes& raw,
   return msg;
 }
 
-uint64_t PbftViewChangeMsg::PeekNewView(const Bytes& raw) {
+uint64_t PbftViewChangeMsg::PeekNewView(ByteSpan raw) {
   Decoder dec(raw);
   if (dec.GetU8() != kTag) return 0;
   const uint64_t new_view = dec.GetU64();
@@ -525,13 +515,13 @@ void PbftNewViewMsg::EncodeTo(Encoder& enc) const {
   size_t total = 8 + VarintSize(view_changes.size()) +
                  VarintSize(entries.size()) +
                  entries.size() * (8 + Digest::kSize + Signature::kSize);
-  for (const Bytes& raw : view_changes) {
+  for (const Payload& raw : view_changes) {
     total += VarintSize(raw.size()) + raw.size();
   }
   enc.Reserve(total);
   enc.PutU64(new_view);
   enc.PutVarint(view_changes.size());
-  for (const Bytes& raw : view_changes) enc.PutBytes(raw);
+  for (const Payload& raw : view_changes) enc.PutBytes(raw);
   enc.PutVarint(entries.size());
   for (const PbftNewViewEntry& entry : entries) entry.EncodeTo(enc);
 }
@@ -547,7 +537,7 @@ Result<PbftNewViewMsg> PbftNewViewMsg::DecodeFrom(Decoder& dec,
   }
   msg.view_changes.reserve(vc_count);
   for (uint64_t i = 0; i < vc_count; ++i) {
-    msg.view_changes.push_back(dec.GetBytes());
+    msg.view_changes.push_back(dec.GetPayload());
     if (!dec.ok()) return dec.status();
   }
   const uint64_t entry_count = dec.GetVarint();
@@ -578,9 +568,8 @@ Result<PaxosAcceptMsg> PaxosAcceptMsg::DecodeFrom(Decoder& dec) {
   PaxosAcceptMsg msg;
   msg.view = dec.GetU64();
   msg.seq = dec.GetU64();
-  msg.batch = dec.GetBytes();
+  msg.batch = dec.GetPayload();
   if (!dec.ok()) return dec.status();
-  msg.batch_offset = FieldOffset(dec, msg.batch);
   return msg;
 }
 
@@ -657,7 +646,7 @@ Result<PaxosViewChangeMsg> PaxosViewChangeMsg::DecodeFrom(Decoder& dec,
     PaxosVcEntry entry;
     entry.seq = dec.GetU64();
     entry.view = dec.GetU64();
-    Bytes batch_bytes = dec.GetBytes();
+    const Payload batch_bytes = dec.GetPayload();
     if (!dec.ok()) return dec.status();
     if (entry.seq <= msg.stable_seq || entry.seq > msg.stable_seq + window) {
       return Status::Corruption("view-change entry outside sanity window");
@@ -677,9 +666,8 @@ void PaxosNewViewEntry::EncodeTo(Encoder& enc) const {
 Result<PaxosNewViewEntry> PaxosNewViewEntry::DecodeFrom(Decoder& dec) {
   PaxosNewViewEntry entry;
   entry.seq = dec.GetU64();
-  entry.batch = dec.GetBytes();
+  entry.batch = dec.GetPayload();
   if (!dec.ok()) return dec.status();
-  entry.batch_offset = FieldOffset(dec, entry.batch);
   return entry;
 }
 

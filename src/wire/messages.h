@@ -30,6 +30,7 @@
 #include "crypto/digest.h"
 #include "crypto/keystore.h"
 #include "util/status.h"
+#include "wire/payload.h"
 #include "wire/wire.h"
 
 namespace seemore {
@@ -111,6 +112,11 @@ void DispatchTyped(R* replica, PrincipalId from, Decoder& dec,
 /// <PREPARE, π, v, n, d, σp, µ>: Lion/Dog proposal, Peacock pre-prepare.
 /// `batch` stays raw: d is the digest over exactly these bytes, and the
 /// receiver charges the hash before checking.
+///
+/// Every encoded-batch field below is a Payload. Decoded, it is a slice of
+/// the received frame (Decoder::GetPayload), so its (id, offset) keys the
+/// per-process digest memo on the frame's identity and a receiver that
+/// keeps the batch keeps no private copy of it.
 struct SmPrepareMsg {
   static constexpr uint8_t kTag = kSmPrepare;
 
@@ -119,10 +125,7 @@ struct SmPrepareMsg {
   uint64_t seq = 0;
   Digest digest;
   Signature sig;  // proposer's signature over Header()
-  Bytes batch;    // encoded Batch
-  /// Offset of `batch` within the decoded frame (set by DecodeFrom; not
-  /// encoded). Keys the per-process digest memo on the frame's identity.
-  size_t batch_offset = 0;
+  Payload batch;  // encoded Batch
 
   void EncodeTo(Encoder& enc) const;
   static Result<SmPrepareMsg> DecodeFrom(Decoder& dec);
@@ -217,8 +220,7 @@ struct SmCommitPrimaryMsg {
   uint64_t seq = 0;
   Digest digest;
   Signature sig;
-  Bytes batch;  // encoded Batch (carried so laggards can commit directly)
-  size_t batch_offset = 0;  // see SmPrepareMsg::batch_offset
+  Payload batch;  // encoded Batch (carried so laggards can commit directly)
 
   void EncodeTo(Encoder& enc) const;
   static Result<SmCommitPrimaryMsg> DecodeFrom(Decoder& dec);
@@ -280,8 +282,7 @@ struct SmNewViewEntry {
   uint64_t view = 0;  // must equal the enclosing message's new_view
   uint64_t seq = 0;
   Digest digest;
-  Bytes batch;  // raw: the receiver charges + checks the digest itself
-  size_t batch_offset = 0;  // see SmPrepareMsg::batch_offset
+  Payload batch;  // raw: the receiver charges + checks the digest itself
   Signature sig;
 
   void EncodeTo(Encoder& enc) const;
@@ -396,8 +397,7 @@ struct PbftPrePrepareMsg {
   uint64_t seq = 0;
   Digest digest;
   Signature sig;
-  Bytes batch;  // encoded Batch
-  size_t batch_offset = 0;  // see SmPrepareMsg::batch_offset
+  Payload batch;  // encoded Batch
 
   void EncodeTo(Encoder& enc) const;
   static Result<PbftPrePrepareMsg> DecodeFrom(Decoder& dec);
@@ -473,14 +473,15 @@ struct PbftViewChangeMsg {
                      const Signer& signer);
 
   /// Decodes a whole frame (including the tag byte) and requires it to be
-  /// fully consumed. `max_proofs` bounds the proof set.
-  static Result<PbftViewChangeMsg> DecodeFrom(const Bytes& raw,
+  /// fully consumed. `max_proofs` bounds the proof set. The proofs'
+  /// batches are slices of `raw`.
+  static Result<PbftViewChangeMsg> DecodeFrom(const Payload& raw,
                                               uint64_t max_proofs);
 
   /// Cheap peek at the target view of a raw frame (0 on malformed input),
   /// so receivers can skip stale view-changes before paying validation.
-  static uint64_t PeekNewView(const Bytes& raw);
-  bool VerifySignature(const KeyStore& keystore, const Bytes& raw) const {
+  static uint64_t PeekNewView(ByteSpan raw);
+  bool VerifySignature(const KeyStore& keystore, ByteSpan raw) const {
     return signed_len <= raw.size() &&
            keystore.Verify(sender, raw.data(), signed_len, sig);
   }
@@ -502,7 +503,7 @@ struct PbftNewViewMsg {
   static constexpr uint8_t kTag = kPbftNewView;
 
   uint64_t new_view = 0;
-  std::vector<Bytes> view_changes;  // raw PbftViewChangeMsg frames
+  std::vector<Payload> view_changes;  // raw PbftViewChangeMsg frames
   std::vector<PbftNewViewEntry> entries;
 
   void EncodeTo(Encoder& enc) const;
@@ -521,8 +522,7 @@ struct PaxosAcceptMsg {
 
   uint64_t view = 0;
   uint64_t seq = 0;
-  Bytes batch;  // encoded Batch
-  size_t batch_offset = 0;  // see SmPrepareMsg::batch_offset
+  Payload batch;  // encoded Batch
 
   void EncodeTo(Encoder& enc) const;
   static Result<PaxosAcceptMsg> DecodeFrom(Decoder& dec);
@@ -594,8 +594,7 @@ struct PaxosViewChangeMsg {
 /// One re-proposed entry in a Paxos NEW-VIEW.
 struct PaxosNewViewEntry {
   uint64_t seq = 0;
-  Bytes batch;  // raw: receiver decodes + hashes (and charges) itself
-  size_t batch_offset = 0;  // see SmPrepareMsg::batch_offset
+  Payload batch;  // raw: receiver decodes + hashes (and charges) itself
 
   void EncodeTo(Encoder& enc) const;
   static Result<PaxosNewViewEntry> DecodeFrom(Decoder& dec);

@@ -16,11 +16,20 @@
 // [offset, offset+len) is never mutated for the life of the block; bytes
 // of the block outside the view's range carry no such promise.
 //
+// Retention rule (DESIGN.md §10): decoded fields that outlive the frame —
+// a batch, a request's op — are Slices of it. A slice of an owned payload
+// shares the storage (all receivers of a simulated multicast then retain
+// one copy of a proposal between them); a slice of a View is copied once
+// into an exact-size owned buffer, so a retained field never pins a whole
+// pooled read block. The rule depends only on what backs the bytes.
+//
 // Every distinct buffer gets a process-unique id; (id, offset, length)
 // names an immutable byte range for the lifetime of the process, which is
 // what lets the digest/verify memo (crypto/memo.h) skip recomputing real
 // SHA-256/HMAC work that another receiver of the same frame already paid
-// for. Id 0 is reserved for the empty payload and means "not memoizable".
+// for. A slice keeps its buffer's id and reports its offset within it, so
+// memo keys stay (frame buffer id, offset in frame). Id 0 is reserved for
+// the empty payload and means "not memoizable".
 
 #ifndef SEEMORE_WIRE_PAYLOAD_H_
 #define SEEMORE_WIRE_PAYLOAD_H_
@@ -50,10 +59,16 @@ class Payload {
   static Payload View(std::shared_ptr<const Bytes> block, size_t offset,
                       size_t len);
 
+  /// Bytes [offset, offset+len) of this payload (offset relative to
+  /// data()) as a payload of their own, under the retention rule in the
+  /// file comment: owned storage is shared, a View is copied to an
+  /// exact-size owned buffer. An empty range is the empty payload.
+  Payload Slice(size_t offset, size_t len) const;
+
   /// The underlying bytes (nullptr/0 for a default Payload).
-  const uint8_t* data() const { return rep_ ? rep_->data : nullptr; }
-  size_t size() const { return rep_ ? rep_->size : 0; }
-  bool empty() const { return size() == 0; }
+  const uint8_t* data() const { return rep_ ? rep_->data + offset_ : nullptr; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   /// An owned, mutable copy of the bytes — the only mutable view a
   /// receiver can ever get.
@@ -62,11 +77,20 @@ class Payload {
   /// Process-unique identity of the underlying buffer; equal ids imply
   /// identical bytes forever. 0 for the empty payload.
   uint64_t id() const { return rep_ ? rep_->id : 0; }
+  /// Where data() starts within the buffer named by id() (nonzero only for
+  /// slices), so (id(), offset(), size()) names these bytes.
+  size_t offset() const { return offset_; }
 
   /// True if both payloads share one storage rep (not a content
   /// comparison).
   bool SharesBufferWith(const Payload& other) const {
     return rep_ != nullptr && rep_ == other.rep_;
+  }
+
+  /// Content equality.
+  friend bool operator==(const Payload& a, const Payload& b);
+  friend bool operator!=(const Payload& a, const Payload& b) {
+    return !(a == b);
   }
 
  private:
@@ -80,19 +104,25 @@ class Payload {
     const uint64_t id;
   };
 
-  explicit Payload(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
+  Payload(std::shared_ptr<const Rep> rep, size_t offset, size_t size)
+      : rep_(std::move(rep)), offset_(offset), size_(size) {}
 
   std::shared_ptr<const Rep> rep_;
+  size_t offset_ = 0;  // window [offset_, offset_ + size_) of the rep
+  size_t size_ = 0;
 };
 
-/// Decoder over a payload, carrying the buffer identity (and, when the
-/// caller runs inside a cluster, the run's CryptoMemo) so decode-time
-/// digest checks (e.g. view-change entries) can reuse another receiver's
-/// work. With `memo` null the checks compute for real — same answer, same
-/// simulated cost, just no host-CPU sharing.
+/// Decoder over a payload, carrying its identity (and, when the caller runs
+/// inside a cluster, the run's CryptoMemo) so decode-time digest checks
+/// (e.g. view-change entries) can reuse another receiver's work, and so
+/// GetPayload slices the payload instead of copying. With `memo` null the
+/// checks compute for real — same answer, same simulated cost, just no
+/// host-CPU sharing. The payload must outlive the decoder (a temporary is
+/// refused at compile time).
 inline Decoder MakeDecoder(const Payload& payload, CryptoMemo* memo = nullptr) {
-  return Decoder(payload.data(), payload.size(), payload.id(), memo);
+  return Decoder(payload, memo);
 }
+Decoder MakeDecoder(Payload&& payload, CryptoMemo* memo = nullptr) = delete;
 
 }  // namespace seemore
 

@@ -90,16 +90,24 @@ uint64_t Decoder::GetVarint() {
   }
 }
 
-Bytes Decoder::GetBytes() {
-  uint64_t len = GetVarint();
-  if (!status_.ok()) return {};
-  if (len > remaining()) {
+bool Decoder::SkipField(size_t* offset, size_t* len) {
+  const uint64_t field_len = GetVarint();
+  if (!status_.ok()) return false;
+  if (field_len > remaining()) {
     Fail("bytes length exceeds input");
-    return {};
+    return false;
   }
-  Bytes out(data_ + pos_, data_ + pos_ + len);
-  pos_ += len;
-  return out;
+  *offset = pos_;
+  *len = static_cast<size_t>(field_len);
+  pos_ += *len;
+  return true;
+}
+
+Bytes Decoder::GetBytes() {
+  size_t offset = 0;
+  size_t len = 0;
+  if (!SkipField(&offset, &len)) return {};
+  return Bytes(data_ + offset, data_ + offset + len);
 }
 
 std::string Decoder::GetString() {

@@ -11,7 +11,9 @@
 #include "crypto/hmac_sha256.h"
 #include "crypto/keystore.h"
 #include "crypto/sha256.h"
+#include "smr/command.h"
 #include "util/hex.h"
+#include "wire/wire.h"
 
 namespace seemore {
 namespace {
@@ -264,6 +266,66 @@ TEST(KeyStoreTest, DistinctSeedsDistinctKeys) {
   Signer signer_a(0, a);
   Bytes msg = {1};
   EXPECT_FALSE(b.Verify(0, msg, signer_a.Sign(msg)));
+}
+
+TEST(HmacSha256Test, TwoPartMacMatchesConcatenation) {
+  const HmacKeySchedule schedule(std::vector<uint8_t>(32, 0x0b));
+  std::vector<uint8_t> message(300);
+  for (size_t i = 0; i < message.size(); ++i) {
+    message[i] = static_cast<uint8_t>(i * 7);
+  }
+  const auto whole =
+      HmacSha256::Mac(schedule, message.data(), message.size());
+  for (size_t split : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                       size_t{65}, size_t{299}, size_t{300}}) {
+    EXPECT_EQ(HmacSha256::Mac(schedule, message.data(), split,
+                              message.data() + split, message.size() - split),
+              whole)
+        << "split at " << split;
+  }
+}
+
+// Requests sign, verify and digest their header and op in two parts; the
+// result must be byte-identical to the concatenated encoding
+// (client u32 | timestamp u64 | varint length | op) they used to build.
+TEST(RequestCryptoTest, TwoPartFormMatchesTheConcatenatedEncoding) {
+  const KeyStore keystore(77);
+  const PrincipalId client = kClientIdBase + 3;
+  const Signer signer(client, keystore);
+  // Op sizes straddling each varint length-prefix width.
+  for (size_t op_size : {size_t{0}, size_t{1}, size_t{127}, size_t{128},
+                         size_t{4096}, size_t{16383}, size_t{16384}}) {
+    Request request;
+    request.client = client;
+    request.timestamp = 0x0102030405060708ULL + op_size;
+    Bytes op(op_size);
+    for (size_t i = 0; i < op_size; ++i) op[i] = static_cast<uint8_t>(i);
+    request.op = op;
+    request.Sign(signer);
+
+    Encoder concatenated;
+    concatenated.PutU32(static_cast<uint32_t>(client));
+    concatenated.PutU64(request.timestamp);
+    concatenated.PutBytes(op);
+    const Bytes& signed_bytes = concatenated.bytes();
+
+    EXPECT_EQ(request.sig, signer.Sign(signed_bytes)) << op_size;
+    EXPECT_TRUE(keystore.Verify(client, signed_bytes, request.sig));
+    EXPECT_TRUE(request.VerifySignature(keystore)) << op_size;
+    EXPECT_EQ(request.ComputeDigest(), Digest::Of(signed_bytes)) << op_size;
+
+    // Any change to a signed field breaks verification.
+    Request forged = request;
+    forged.timestamp += 1;
+    EXPECT_FALSE(forged.VerifySignature(keystore));
+    if (op_size > 0) {
+      Bytes tampered = op;
+      tampered.back() ^= 0x01;
+      forged = request;
+      forged.op = tampered;
+      EXPECT_FALSE(forged.VerifySignature(keystore)) << op_size;
+    }
+  }
 }
 
 TEST(SignatureTest, EncodeDecode) {

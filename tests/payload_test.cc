@@ -7,8 +7,10 @@
 #include <memory>
 #include <vector>
 
+#include "crypto/keystore.h"
 #include "crypto/memo.h"
 #include "net/network.h"
+#include "smr/command.h"
 #include "wire/payload.h"
 
 namespace seemore {
@@ -55,15 +57,116 @@ TEST(PayloadViewTest, ViewAliasesTheBlockWithoutCopying) {
   EXPECT_EQ(view.ToBytes(), (Bytes{2, 3, 4, 5, 6}));
 }
 
-TEST(PayloadTest, MakeDecoderCarriesBufferIdentity) {
-  Payload p(Bytes{42, 7});
-  Decoder dec = MakeDecoder(p);
-  EXPECT_EQ(dec.buffer_id(), p.id());
-  EXPECT_EQ(dec.GetU8(), 42);
-  EXPECT_EQ(dec.pos(), 1u);
-  const Bytes owned = p.ToBytes();
-  Decoder plain(owned);
-  EXPECT_EQ(plain.buffer_id(), 0u);
+TEST(PayloadSliceTest, SliceOfOwnedPayloadSharesItsStorage) {
+  const Payload frame(Bytes{0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  const Payload slice = frame.Slice(2, 5);
+  EXPECT_TRUE(slice.SharesBufferWith(frame));
+  EXPECT_EQ(slice.data(), frame.data() + 2);  // aliases, never copies
+  EXPECT_EQ(slice.ToBytes(), (Bytes{2, 3, 4, 5, 6}));
+  // Same buffer identity, frame-relative offset: memo keys stay
+  // (frame buffer id, offset in frame).
+  EXPECT_EQ(slice.id(), frame.id());
+  EXPECT_EQ(slice.offset(), 2u);
+
+  const Payload nested = slice.Slice(1, 2);
+  EXPECT_TRUE(nested.SharesBufferWith(frame));
+  EXPECT_EQ(nested.offset(), 3u);
+  EXPECT_EQ(nested.ToBytes(), (Bytes{3, 4}));
+
+  // An empty range pins nothing.
+  const Payload empty = frame.Slice(4, 0);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.id(), 0u);
+  EXPECT_FALSE(empty.SharesBufferWith(frame));
+
+  // Content equality is independent of sharing.
+  EXPECT_EQ(slice, Payload(Bytes{2, 3, 4, 5, 6}));
+  EXPECT_NE(slice, nested);
+
+  // The slice keeps the storage alive after the frame handle is gone.
+  Payload held;
+  {
+    const Payload transient(Bytes{7, 7, 8, 8});
+    held = transient.Slice(2, 2);
+  }
+  EXPECT_EQ(held.ToBytes(), (Bytes{8, 8}));
+}
+
+TEST(PayloadSliceTest, SliceOfAViewIsAnExactSizeCopy) {
+  auto block = std::make_shared<const Bytes>(
+      Bytes{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15});
+  const Payload view = Payload::View(block, 4, 8);
+  const long refs_with_view = block.use_count();
+  const Payload slice = view.Slice(2, 3);
+  EXPECT_EQ(slice.ToBytes(), (Bytes{6, 7, 8}));
+  EXPECT_EQ(slice.size(), 3u);
+  // Copied out: the slice neither aliases nor pins the block.
+  EXPECT_FALSE(slice.SharesBufferWith(view));
+  EXPECT_TRUE(slice.data() < block->data() ||
+              slice.data() >= block->data() + block->size());
+  EXPECT_EQ(block.use_count(), refs_with_view);
+  // A buffer of its own: fresh identity, starting at offset 0.
+  EXPECT_NE(slice.id(), view.id());
+  EXPECT_EQ(slice.offset(), 0u);
+  // Slices of the copy share it again (the owned rule).
+  EXPECT_TRUE(slice.Slice(1, 1).SharesBufferWith(slice));
+}
+
+TEST(PayloadSliceTest, DecoderSlicesPayloadsAndCopiesPlainBytes) {
+  Encoder enc;
+  enc.PutU8(0x11);
+  enc.PutBytes(Bytes{5, 6, 7});
+  enc.PutBytes(Bytes{});
+  const Payload frame(enc.Take());
+
+  Decoder dec = MakeDecoder(frame);
+  EXPECT_EQ(dec.GetU8(), 0x11);
+  const Payload field = dec.GetPayload();
+  const Payload none = dec.GetPayload();
+  ASSERT_TRUE(dec.Finish().ok());
+  EXPECT_EQ(field.ToBytes(), (Bytes{5, 6, 7}));
+  EXPECT_TRUE(field.SharesBufferWith(frame));
+  EXPECT_EQ(field.id(), frame.id());
+  EXPECT_EQ(field.offset(), 2u);  // tag + length prefix
+  EXPECT_TRUE(none.empty());
+
+  const Bytes plain_bytes = frame.ToBytes();
+  Decoder plain(plain_bytes);
+  plain.GetU8();
+  const Payload copied = plain.GetPayload();
+  EXPECT_EQ(copied, field);
+  EXPECT_FALSE(copied.SharesBufferWith(frame));
+
+  // Overrunning length prefixes fail the decoder like GetBytes does.
+  const Payload bad(Bytes{9, 1, 2});
+  Decoder overrun = MakeDecoder(bad);
+  EXPECT_TRUE(overrun.GetPayload().empty());
+  EXPECT_FALSE(overrun.ok());
+}
+
+TEST(PayloadSliceTest, DecodedRequestOutlivesItsFrame) {
+  const KeyStore keystore(5);
+  const Signer signer(kClientIdBase, keystore);
+  Request request;
+  request.client = kClientIdBase;
+  request.timestamp = 3;
+  request.op = Bytes(4096, 0x42);
+  request.Sign(signer);
+
+  Request decoded;
+  {
+    const Payload frame(request.ToMessage());
+    Decoder dec = MakeDecoder(frame);
+    ASSERT_EQ(dec.GetU8(), kMsgRequest);
+    Result<Request> out = Request::DecodeFrom(dec);
+    ASSERT_TRUE(out.ok());
+    decoded = std::move(out).value();
+    EXPECT_TRUE(decoded.op.SharesBufferWith(frame));
+  }
+  // The frame handle is gone; the op keeps its bytes alive (the sanitizer
+  // build turns any dangling read here into a failure).
+  EXPECT_EQ(decoded, request);
+  EXPECT_TRUE(decoded.VerifySignature(keystore));
 }
 
 TEST(CryptoMemoTest, DigestMemoHitsOnSameRangeOfSameBuffer) {

@@ -11,8 +11,10 @@
 #include <memory>
 #include <vector>
 
+#include "consensus/batch.h"
 #include "rt/frame.h"
 #include "rt/write_queue.h"
+#include "wire/messages.h"
 
 namespace seemore {
 namespace rt {
@@ -226,6 +228,92 @@ TEST(PooledReaderTest, ViewsOutliveTheReadersProgress) {
   // The held view still reads the original bytes: its block was never
   // reissued while the view lived.
   EXPECT_EQ(held.ToBytes(), first);
+}
+
+// The retention rule on the pooled read path: fields a receiver keeps are
+// copied out of the read block at exact size, so a decoded batch never
+// pins its 64 KiB block and the pool reissues the block at once.
+TEST(PooledReaderTest, DecodedBatchIsCopiedOutAndTheBlockIsReissued) {
+  const KeyStore keystore(9);
+  Batch batch;
+  for (int i = 0; i < 3; ++i) {
+    Request request;
+    request.client = kClientIdBase + i;
+    request.timestamp = 1;
+    request.op = MakeBody(100, static_cast<uint8_t>(i));
+    request.Sign(Signer(request.client, keystore));
+    batch.requests.push_back(std::move(request));
+  }
+  SmPrepareMsg prepare;
+  prepare.seq = 1;
+  prepare.batch = batch.Encode();
+  prepare.digest = Digest::Of(prepare.batch);
+  const Bytes body = prepare.ToMessage();
+
+  BlockPool pool(/*block_bytes=*/1024, /*max_cached=*/4);
+  std::shared_ptr<Bytes> block = pool.Acquire();
+  const Bytes* raw = block.get();
+  std::copy(body.begin(), body.end(), block->begin());
+  Payload view = Payload::View(block, 0, body.size());
+
+  Batch held;
+  {
+    Decoder dec = MakeDecoder(view);
+    ASSERT_EQ(dec.GetU8(), kSmPrepare);
+    Result<SmPrepareMsg> msg = SmPrepareMsg::DecodeFrom(dec);
+    ASSERT_TRUE(msg.ok());
+    // Exact-size copy of the batch field, not an alias into the block.
+    EXPECT_FALSE(msg->batch.SharesBufferWith(view));
+    EXPECT_EQ(msg->batch.size(), prepare.batch.size());
+    Result<Batch> decoded = Batch::Decode(msg->batch);
+    ASSERT_TRUE(decoded.ok());
+    held = std::move(decoded).value();
+  }
+  for (const Request& request : held.requests) {
+    EXPECT_TRUE(request.op.SharesBufferWith(held.encoded()));
+  }
+
+  pool.Recycle(std::move(block));
+  view = Payload();  // the frame is done; only the decoded batch lives on
+  std::shared_ptr<Bytes> reissued = pool.Acquire();
+  EXPECT_EQ(reissued.get(), raw);
+  EXPECT_EQ(pool.blocks_reused(), 1u);
+  std::fill(reissued->begin(), reissued->end(), uint8_t{0xff});
+
+  ASSERT_EQ(held.size(), batch.size());
+  for (size_t i = 0; i < held.size(); ++i) {
+    EXPECT_EQ(held.requests[i], batch.requests[i]);
+    EXPECT_TRUE(held.requests[i].VerifySignature(keystore));
+  }
+  EXPECT_EQ(held.ComputeDigest(), prepare.digest);
+}
+
+// A request decoded from a pooled frame stays valid after the frame, the
+// reader and the pool are all gone (the sanitizer build checks the reads).
+TEST(PooledReaderTest, DecodedRequestOutlivesItsFrame) {
+  const KeyStore keystore(4);
+  Request request;
+  request.client = kClientIdBase;
+  request.timestamp = 8;
+  request.op = MakeBody(4096, 3);
+  request.Sign(Signer(request.client, keystore));
+
+  Request decoded;
+  {
+    BlockPool pool;
+    FrameReader reader(kMaxFrameBytes, &pool);
+    const Bytes wire = EncodeFrame(request.ToMessage());
+    ASSERT_TRUE(reader.Feed(wire.data(), wire.size()).ok());
+    Payload frame;
+    ASSERT_TRUE(reader.Next(&frame));
+    Decoder dec = MakeDecoder(frame);
+    ASSERT_EQ(dec.GetU8(), kMsgRequest);
+    Result<Request> out = Request::DecodeFrom(dec);
+    ASSERT_TRUE(out.ok());
+    decoded = std::move(out).value();
+  }
+  EXPECT_EQ(decoded, request);
+  EXPECT_TRUE(decoded.VerifySignature(keystore));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tests/test_util.h"
 
 namespace seemore {
@@ -38,6 +40,49 @@ TEST(PeacockTest, PrivateNodesExecuteViaInforms) {
   EXPECT_EQ(cluster.seemore(1)->last_executed(),
             cluster.seemore(2)->last_executed());
   EXPECT_TRUE(cluster.CheckAgreement().ok());
+}
+
+TEST(PeacockTest, ReplicasRetainOneCopyOfEachProposal) {
+  // 4 KB requests (Fig. 3's 4/0 point): every replica keeps the batch of a
+  // live slot, and all of them — the primary's own slot included — hold
+  // ops that are slices of the one multicast PREPARE frame, never a
+  // private copy each.
+  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  const RunResult result = RunClosedLoop(cluster, 8, EchoWorkload(4, 0),
+                                         /*warmup=*/0, Millis(40));
+  ASSERT_GT(result.completed, 0u);
+  const int n = cluster.config().n();
+  uint64_t floor = 0;
+  for (int r = 0; r < n; ++r) {
+    floor = std::max(floor, cluster.seemore(r)->stable_checkpoint());
+  }
+  const auto held_everywhere = [&](uint64_t seq) {
+    for (int r = 0; r < n; ++r) {
+      const SlotCore* slot = cluster.seemore(r)->slot(seq);
+      if (slot == nullptr || !slot->has_batch || slot->batch.empty()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  uint64_t seq = floor + 1;
+  while (seq <= floor + 64 && !held_everywhere(seq)) ++seq;
+  ASSERT_TRUE(held_everywhere(seq)) << "no slot above " << floor
+                                    << " is held by every replica";
+
+  const Batch& reference = cluster.seemore(0)->slot(seq)->batch;
+  for (int r = 0; r < n; ++r) {
+    const Batch& batch = cluster.seemore(r)->slot(seq)->batch;
+    ASSERT_EQ(batch.size(), reference.size()) << "replica " << r;
+    EXPECT_TRUE(batch.encoded().SharesBufferWith(reference.encoded()))
+        << "replica " << r;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Payload& op = batch.requests[i].op;
+      EXPECT_GE(op.size(), 4096u);
+      EXPECT_TRUE(op.SharesBufferWith(reference.encoded()))
+          << "replica " << r << " request " << i;
+    }
+  }
 }
 
 TEST(PeacockTest, ToleratesByzantineProxy) {

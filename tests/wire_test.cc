@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "crypto/keystore.h"
 #include "util/rng.h"
 #include "wire/messages.h"
+#include "wire/payload.h"
 #include "wire/wire.h"
 
 namespace seemore {
@@ -641,43 +645,189 @@ TEST_F(MessagesTest, DispatchTypedRoutesAndDropsMalformed) {
   EXPECT_EQ(sink.got.size(), 1u);
 }
 
-TEST_F(MessagesTest, TypedMessageFuzzNeverCrashes) {
-  // Random bytes through every typed decoder: must fail or succeed without
-  // UB, mirroring what a Byzantine peer can inject.
-  uint64_t state = 0xfeedface;
-  for (int round = 0; round < 200; ++round) {
-    Bytes garbage;
-    const int len = static_cast<int>(SplitMix64(state) % 200);
-    for (int i = 0; i < len; ++i) {
-      garbage.push_back(static_cast<uint8_t>(SplitMix64(state)));
-    }
-    {
-      Decoder dec(garbage);
-      (void)SmPrepareMsg::DecodeFrom(dec);
-    }
-    {
-      Decoder dec(garbage);
-      (void)SmViewChangeMsg::DecodeFrom(dec, 64);
-    }
-    {
-      Decoder dec(garbage);
-      (void)SmNewViewMsg::DecodeFrom(dec, 64);
-    }
-    (void)PbftViewChangeMsg::DecodeFrom(garbage, 64);
-    {
-      Decoder dec(garbage);
-      (void)PbftNewViewMsg::DecodeFrom(dec, 8, 64);
-    }
-    {
-      Decoder dec(garbage);
-      (void)PaxosViewChangeMsg::DecodeFrom(dec, 64);
-    }
-    {
-      Decoder dec(garbage);
-      (void)PaxosNewViewMsg::DecodeFrom(dec, 64);
-    }
+/// Re-encoding of a decoded message (the comparison key of the parity
+/// checks below).
+template <typename M>
+Bytes Reencode(const M& msg) {
+  Encoder enc;
+  msg.EncodeTo(enc);
+  return enc.Take();
+}
+
+Bytes Reencode(const PbftViewChangeMsg& msg) {
+  Encoder enc;
+  enc.PutU64(msg.new_view);
+  enc.PutU64(msg.stable_seq);
+  msg.cert.EncodeTo(enc);
+  enc.PutVarint(msg.proofs.size());
+  for (const PreparedProof& proof : msg.proofs) proof.EncodeTo(enc);
+  enc.PutU32(static_cast<uint32_t>(msg.sender));
+  msg.sig.EncodeTo(enc);
+  enc.PutVarint(msg.signed_len);
+  return enc.Take();
+}
+
+/// `body` copied into the middle of a larger block and viewed there: the
+/// rt receive path's pooled-block shape, where slices copy.
+Payload BlockView(const Bytes& body) {
+  auto block = std::make_shared<Bytes>(body.size() + 16, uint8_t{0xee});
+  std::copy(body.begin(), body.end(), block->begin() + 8);
+  return Payload::View(std::move(block), 8, body.size());
+}
+
+/// Both results agree: same status, and when decoded, the same re-encoding.
+template <typename M>
+void ExpectSameOutcome(const Result<M>& expected, const Result<M>& actual,
+                       const char* route) {
+  ASSERT_EQ(expected.ok(), actual.ok()) << route;
+  if (!expected.ok()) {
+    EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+        << route;
+    return;
   }
-  SUCCEED();
+  EXPECT_EQ(Reencode(expected.value()), Reencode(actual.value())) << route;
+}
+
+/// Decode `body` from plain bytes, from an owned Payload (slices share it)
+/// and from a pooled-block View (slices copy), and require one outcome.
+template <typename Decode>
+void ExpectDecodeParity(const Bytes& body, Decode&& decode) {
+  Decoder plain(body);
+  const auto from_bytes = decode(plain);
+  const Payload owned(body);
+  Decoder owned_dec = MakeDecoder(owned);
+  ExpectSameOutcome(from_bytes, decode(owned_dec), "owned payload");
+  EXPECT_EQ(plain.pos(), owned_dec.pos());
+  const Payload view = BlockView(body);
+  Decoder view_dec = MakeDecoder(view);
+  ExpectSameOutcome(from_bytes, decode(view_dec), "block view");
+  EXPECT_EQ(plain.pos(), view_dec.pos());
+}
+
+/// Every typed decoder, each through all three routes.
+void ExpectTypedDecodeParity(const Bytes& body) {
+  ExpectDecodeParity(body, [](Decoder& d) { return Request::DecodeFrom(d); });
+  ExpectDecodeParity(body,
+                     [](Decoder& d) { return SmPrepareMsg::DecodeFrom(d); });
+  ExpectDecodeParity(
+      body, [](Decoder& d) { return SmCommitPrimaryMsg::DecodeFrom(d); });
+  ExpectDecodeParity(
+      body, [](Decoder& d) { return SmViewChangeMsg::DecodeFrom(d, 64); });
+  ExpectDecodeParity(
+      body, [](Decoder& d) { return SmNewViewMsg::DecodeFrom(d, 64); });
+  ExpectDecodeParity(
+      body, [](Decoder& d) { return PbftPrePrepareMsg::DecodeFrom(d); });
+  ExpectDecodeParity(
+      body, [](Decoder& d) { return PbftNewViewMsg::DecodeFrom(d, 8, 64); });
+  ExpectDecodeParity(body,
+                     [](Decoder& d) { return PaxosAcceptMsg::DecodeFrom(d); });
+  ExpectDecodeParity(
+      body, [](Decoder& d) { return PaxosViewChangeMsg::DecodeFrom(d, 64); });
+  ExpectDecodeParity(
+      body, [](Decoder& d) { return PaxosNewViewMsg::DecodeFrom(d, 64); });
+  // PBFT view-changes decode whole frames: plain bytes become an owned
+  // payload at the call, so the second route is the block view.
+  ExpectSameOutcome(PbftViewChangeMsg::DecodeFrom(body, 64),
+                    PbftViewChangeMsg::DecodeFrom(BlockView(body), 64),
+                    "block view");
+}
+
+TEST_F(MessagesTest, TypedMessageFuzzNeverCrashes) {
+  // Random bytes and mutated valid frames through every typed decoder: must
+  // fail or succeed without UB, mirroring what a Byzantine peer can inject.
+  // Each input is decoded from plain bytes and through payloads, which
+  // slice instead of copying; all routes must agree.
+  const Batch batch = SampleBatch();
+  std::vector<Bytes> seeds;
+  const auto body_of = [](const Bytes& frame) {
+    return Bytes(frame.begin() + 1, frame.end());
+  };
+  seeds.push_back(body_of(batch.requests[0].ToMessage()));
+  {
+    SmPrepareMsg prepare;
+    prepare.view = 3;
+    prepare.seq = 4;
+    prepare.batch = batch.Encode();
+    prepare.digest = Digest::Of(prepare.batch);
+    prepare.sig = signer_.Sign(prepare.Header());
+    seeds.push_back(body_of(prepare.ToMessage()));
+    SmCommitPrimaryMsg commit;
+    commit.seq = 4;
+    commit.batch = prepare.batch;
+    commit.digest = prepare.digest;
+    seeds.push_back(body_of(commit.ToMessage()));
+    PbftPrePrepareMsg pre_prepare{3, 4, prepare.digest, prepare.sig,
+                                  prepare.batch};
+    seeds.push_back(body_of(pre_prepare.ToMessage()));
+    seeds.push_back(body_of(PaxosAcceptMsg{3, 4, prepare.batch}.ToMessage()));
+  }
+  {
+    SmViewChangeMsg vc;
+    vc.new_view = 9;
+    vc.cert = CheckpointCert::Genesis();
+    SmVcEntry entry;
+    entry.view = 8;
+    entry.seq = 4;
+    entry.batch = batch;
+    entry.digest = batch.ComputeDigest();
+    vc.prepares.push_back(entry);
+    vc.commits.push_back(entry);
+    PreparedProof proof;
+    proof.seq = 4;
+    proof.batch = batch;
+    proof.digest = entry.digest;
+    proof.prepares.emplace_back(2, signer_.Sign(Bytes{3}));
+    vc.proofs.push_back(proof);
+    seeds.push_back(body_of(vc.ToMessage()));
+    seeds.push_back(PbftViewChangeMsg::Build(9, 0, CheckpointCert::Genesis(),
+                                             {proof}, signer_));
+    PbftNewViewMsg pbft_nv;
+    pbft_nv.new_view = 9;
+    pbft_nv.view_changes.push_back(seeds.back());
+    seeds.push_back(body_of(pbft_nv.ToMessage()));
+  }
+  {
+    SmNewViewMsg nv;
+    nv.new_view = 4;
+    SmNewViewEntry entry;
+    entry.view = 4;
+    entry.seq = 2;
+    entry.batch = batch.Encode();
+    entry.digest = Digest::Of(entry.batch);
+    nv.commits.push_back(entry);
+    nv.prepares.push_back(entry);
+    seeds.push_back(body_of(nv.ToMessage()));
+    PaxosViewChangeMsg paxos_vc;
+    paxos_vc.new_view = 2;
+    paxos_vc.stable_seq = 10;
+    paxos_vc.entries.push_back(PaxosVcEntry{12, 1, batch});
+    seeds.push_back(body_of(paxos_vc.ToMessage()));
+    PaxosNewViewMsg paxos_nv;
+    paxos_nv.new_view = 2;
+    paxos_nv.entries.push_back(PaxosNewViewEntry{12, entry.batch});
+    seeds.push_back(body_of(paxos_nv.ToMessage()));
+  }
+
+  uint64_t state = 0xfeedface;
+  for (const Bytes& seed : seeds) ExpectTypedDecodeParity(seed);
+  for (int round = 0; round < 400; ++round) {
+    Bytes input;
+    if (round % 4 == 0) {
+      const int len = static_cast<int>(SplitMix64(state) % 200);
+      for (int i = 0; i < len; ++i) {
+        input.push_back(static_cast<uint8_t>(SplitMix64(state)));
+      }
+    } else {
+      input = seeds[SplitMix64(state) % seeds.size()];
+      const int flips = 1 + static_cast<int>(SplitMix64(state) % 3);
+      for (int i = 0; i < flips; ++i) {
+        input[SplitMix64(state) % input.size()] ^=
+            static_cast<uint8_t>(1 + SplitMix64(state) % 255);
+      }
+      if (round % 4 == 3) input.resize(SplitMix64(state) % input.size());
+    }
+    ExpectTypedDecodeParity(input);
+  }
 }
 
 }  // namespace
