@@ -124,16 +124,18 @@ void PaxosReplica::TryPropose() {
   while (pipeline_.CanOpen(log_.UncommittedSlots())) {
     auto [seq, batch] = pipeline_.Open();
     const Payload encoded = batch.Encode();
-    const Payload frame = PaxosAcceptMsg{view_, seq, encoded}.ToMessage();
+    // ACCEPT carries no digest: backups hash the batch field for their ACK.
+    FramedBatch proposal = ProposeBatch(encoded, [&](const Digest&) {
+      return Payload(PaxosAcceptMsg{view_, seq, encoded}.ToMessage());
+    });
     SlotCore& slot = log_.Slot(seq);
-    slot.batch = Batch::DecodeFrameTail(frame, encoded.size());
+    slot.batch = std::move(proposal.batch);
     slot.has_batch = true;
-    ChargeHash(encoded.size());
-    slot.digest = Digest::Of(encoded);
+    slot.digest = proposal.digest;
     slot.view = view_;
     RecordVote(slot.plain_votes, slot.digest, id_);
 
-    SendToMany(config_.AllReplicas(), frame);
+    SendToMany(config_.AllReplicas(), proposal.frame);
   }
 }
 

@@ -158,20 +158,23 @@ void PbftCoreReplica::TryPropose() {
 }
 
 void PbftCoreReplica::EmitPrePrepare(uint64_t seq, const Payload& encoded) {
-  ChargeHash(encoded.size());
-  PbftPrePrepareMsg pp{view_, seq, Digest::Of(encoded), Signature(), encoded};
-  ChargeSign();
-  pp.sig = signer_.Sign(pp.Header());
-  const Payload frame = pp.ToMessage();
+  Signature sig;
+  FramedBatch proposal = ProposeBatch(encoded, [&](const Digest& digest) {
+    PbftPrePrepareMsg pp{view_, seq, digest, Signature(), encoded};
+    ChargeSign();
+    pp.sig = signer_.Sign(pp.Header());
+    sig = pp.sig;
+    return Payload(pp.ToMessage());
+  });
 
   SlotCore& slot = log_.Slot(seq);
-  slot.batch = Batch::DecodeFrameTail(frame, encoded.size());
+  slot.batch = std::move(proposal.batch);
   slot.has_batch = true;
-  slot.digest = pp.digest;
+  slot.digest = proposal.digest;
   slot.view = view_;
-  slot.primary_sig = pp.sig;
+  slot.primary_sig = sig;
 
-  SendToMany(config_.AllReplicas(), frame);
+  SendToMany(config_.AllReplicas(), proposal.frame);
 }
 
 void PbftCoreReplica::HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg) {

@@ -58,12 +58,16 @@ class CommitQueue {
     durable_ = durable != nullptr && durable->enabled() ? durable : nullptr;
   }
 
-  /// Phase 2: enqueue (seq, batch) for in-order execution. Executes every
-  /// batch that became in-order runnable, charges the execution cost and
-  /// returns the per-request outcomes for the caller's reply policy.
-  std::vector<ExecutedRequest> Execute(uint64_t seq, const Batch& batch) {
-    if (durable_ != nullptr) durable_->AppendCommit(seq, batch);
-    std::vector<ExecutedRequest> executed = exec_.Commit(seq, batch);
+  /// Phase 2: enqueue the slot's (seq, batch) for in-order execution.
+  /// Executes every batch that became in-order runnable, charges the
+  /// execution cost and returns the per-request outcomes for the caller's
+  /// reply policy. The engine's audit trail records `slot.digest`: every
+  /// path that fills a slot checked that digest against the slot's batch
+  /// bytes (or computed it from them as proposer), so nothing rehashes.
+  std::vector<ExecutedRequest> Execute(uint64_t seq, const SlotCore& slot) {
+    if (durable_ != nullptr) durable_->AppendCommit(seq, slot.batch);
+    std::vector<ExecutedRequest> executed =
+        exec_.Commit(seq, slot.batch, slot.digest);
     cpu_->Charge(costs_.execute * static_cast<int64_t>(executed.size()));
     stats_.requests_executed += executed.size();
     return executed;
@@ -73,7 +77,7 @@ class CommitQueue {
   /// has to happen between marking and execution.
   std::vector<ExecutedRequest> Commit(uint64_t seq, SlotCore& slot) {
     MarkCommitted(slot);
-    return Execute(seq, slot.batch);
+    return Execute(seq, slot);
   }
 
  private:

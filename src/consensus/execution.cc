@@ -9,19 +9,20 @@ namespace seemore {
 ExecutionEngine::ExecutionEngine(std::unique_ptr<StateMachine> state_machine)
     : state_machine_(std::move(state_machine)) {}
 
-std::vector<ExecutedRequest> ExecutionEngine::Commit(uint64_t seq,
-                                                     Batch batch) {
+std::vector<ExecutedRequest> ExecutionEngine::Commit(uint64_t seq, Batch batch,
+                                                     const Digest& digest) {
   std::vector<ExecutedRequest> out;
   if (seq <= last_executed_ || pending_.count(seq) > 0) return out;
-  pending_.emplace(seq, std::move(batch));
+  pending_.emplace(seq, PendingBatch{std::move(batch), digest});
   // Drain every batch that is now in order.
   while (true) {
     auto it = pending_.find(last_executed_ + 1);
     if (it == pending_.end()) break;
-    std::vector<ExecutedRequest> executed = ExecuteBatch(it->first, it->second);
+    std::vector<ExecutedRequest> executed =
+        ExecuteBatch(it->first, it->second.batch);
     out.insert(out.end(), std::make_move_iterator(executed.begin()),
                std::make_move_iterator(executed.end()));
-    executed_digests_.Append(it->first, it->second.ComputeDigest());
+    executed_digests_.Append(it->first, it->second.digest);
     last_executed_ = it->first;
     ++batches_executed_;
     pending_.erase(it);

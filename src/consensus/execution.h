@@ -80,11 +80,15 @@ class ExecutionEngine {
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
 
-  /// Record (seq, batch) as committed. Executes every batch that becomes
-  /// in-order executable and returns the per-request outcomes (possibly from
-  /// several sequence numbers). Re-commits of an already-executed or
-  /// already-buffered seq are ignored (returns empty).
-  std::vector<ExecutedRequest> Commit(uint64_t seq, Batch batch);
+  /// Record (seq, batch) as committed. `digest` is D(batch): the digest the
+  /// committing slot already checked against these exact bytes, recorded in
+  /// the audit trail as is — execution never rehashes a batch. Executes
+  /// every batch that becomes in-order executable and returns the
+  /// per-request outcomes (possibly from several sequence numbers).
+  /// Re-commits of an already-executed or already-buffered seq are ignored
+  /// (returns empty).
+  std::vector<ExecutedRequest> Commit(uint64_t seq, Batch batch,
+                                      const Digest& digest);
 
   uint64_t last_executed() const { return last_executed_; }
 
@@ -146,6 +150,12 @@ class ExecutionEngine {
     uint64_t last_seq = 0;
   };
 
+  /// A committed batch waiting for lower seqs, with its slot's digest.
+  struct PendingBatch {
+    Batch batch;
+    Digest digest;
+  };
+
   std::vector<ExecutedRequest> ExecuteBatch(uint64_t seq, const Batch& batch);
   void EvictStaleReplies();
 
@@ -153,7 +163,7 @@ class ExecutionEngine {
   uint64_t last_executed_ = 0;
   uint64_t batches_executed_ = 0;
   uint64_t reply_retention_ = 0;  // 0 = unbounded (tool/test default)
-  std::map<uint64_t, Batch> pending_;  // committed, waiting for lower seqs
+  std::map<uint64_t, PendingBatch> pending_;
   FlatHashMap<PrincipalId, CacheEntry> reply_cache_;
   ExecutedDigestLog executed_digests_;
 };

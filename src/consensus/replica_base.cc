@@ -25,7 +25,6 @@ ReplicaBase::ReplicaBase(Transport* transport, TimerService* timers,
       commits_(exec_, stats_, cpu_, costs_),
       durable_(DurableStore::Null()) {
   SEEMORE_CHECK(cpu_ != nullptr) << "transport returned no CPU meter";
-  SEEMORE_CHECK(memo_ != nullptr) << "replica needs the run's CryptoMemo";
   // Opt-in reply-cache bound (see ClusterConfig::reply_cache_retention).
   // Eviction keys off the committed prefix and last_seq travels inside
   // snapshots, so every correct replica's cache — and checkpoint digest —
@@ -50,9 +49,10 @@ void ReplicaBase::RestoreFromImage(const RecoveredImage& image) {
   }
   // Replay through the engine directly: gap-tolerant, dedups overlap with
   // the snapshot, and sends no replies and charges no CPU — the work
-  // happened while the replica was down.
+  // happened while the replica was down. WAL records carry no digest, so
+  // replay is the one protocol path that hashes for the audit trail.
   for (const auto& [seq, batch] : image.commits) {
-    exec_.Commit(seq, batch);
+    exec_.Commit(seq, batch, batch.ComputeDigest());
   }
   // See proposer_quiesced(): no proposing in the restored view — the
   // pre-crash incarnation may have signed proposals this image lacks.

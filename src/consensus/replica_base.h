@@ -45,7 +45,10 @@ class ReplicaBase : public MessageHandler {
  public:
   /// `memo` is the run's digest/verify memo (owned by the composition root,
   /// e.g. the Cluster); every replica of one run shares it, and runs on
-  /// different threads each have their own.
+  /// different threads each have their own. Null runs the replica
+  /// memo-less: every digest and verdict is computed directly. A process
+  /// that hosts a single replica (rt::Node) passes null, because a memo
+  /// only pays off when several receivers of one buffer share a process.
   ReplicaBase(Transport* transport, TimerService* timers,
               const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
               const ClusterConfig& config,
@@ -110,28 +113,66 @@ class ReplicaBase : public MessageHandler {
   /// These helpers elide *host* CPU only: callers charge the full simulated
   /// cost (ChargeHash / ChargeVerify) exactly as if the work were done, so
   /// simulated time is bit-identical whether the memo hits or misses (the
-  /// charge-vs-compute rule, DESIGN.md §"Engine internals").
+  /// charge-vs-compute rule, DESIGN.md §"Engine internals"). Without a memo
+  /// they compute directly.
 
   /// D(field) for an encoded field decoded from a delivered frame. The
-  /// field's (id, offset) names its bytes within that frame, so the first
-  /// receiver of a multicast pays the real SHA-256 and the rest reuse it;
-  /// a field copied out of a pooled read block has an id of its own and is
-  /// simply hashed.
+  /// field's (id, offset) names its bytes within that frame, so the
+  /// proposer's recorded digest (ProposeBatch) serves every receiver of a
+  /// multicast proposal, and other fields are hashed by the first receiver
+  /// and reused by the rest; a field copied out of a pooled read block has
+  /// an id of its own and is simply hashed.
   Digest FrameFieldDigest(const Payload& field) const {
+    if (memo_ == nullptr) return Digest::Of(field.data(), field.size());
     return memo_->DigestOf(field.id(), field.offset(), field.data(),
                            field.size());
   }
 
-  /// Memoized `verify()` keyed on (current frame, signer, slot). `signer`
-  /// and `slot` must be derived purely from frame contents so every
-  /// receiver of the frame asks the same question (use the message tag, or
+  /// Memoized `verify()` keyed on (buffer, signer, slot). `signer` and
+  /// `slot` must be derived purely from the buffer's contents so every
+  /// receiver asks the same question (use the message tag, or
   /// tag<<16|index for per-entry checks). Templated: bare lambdas, no
   /// std::function allocation on the hot path.
   template <typename F>
+  bool VerifyMemoized(uint64_t buffer_id, PrincipalId signer, uint32_t slot,
+                      F&& verify) const {
+    if (memo_ == nullptr) return verify();
+    return memo_->Verify(buffer_id, signer, slot, std::forward<F>(verify));
+  }
+  /// VerifyMemoized keyed on the frame being handled.
+  template <typename F>
   bool FrameVerifyMemoized(PrincipalId signer, uint32_t slot,
                            F&& verify) const {
-    return memo_->Verify(current_frame_.id(), signer, slot,
-                         std::forward<F>(verify));
+    return VerifyMemoized(current_frame_.id(), signer, slot,
+                          std::forward<F>(verify));
+  }
+
+  /// A proposal as its proposer framed it.
+  struct FramedBatch {
+    Payload frame;  // what to multicast; ends with the encoded batch
+    Batch batch;    // the slot's batch, decoded zero-copy from the frame
+    Digest digest;  // D(batch), computed from the encoded bytes
+  };
+
+  /// The proposer's one SHA-256 pass over a batch: charges and computes
+  /// D(encoded), lets `make_frame(digest)` build (and sign) the frame that
+  /// ends with `encoded`, and decodes the slot's batch from the frame tail.
+  /// The digest is recorded in the memo under the tail's key, so every
+  /// receiver's FrameFieldDigest of the batch field hits. Byzantine
+  /// equivocation paths frame batches of their own and never come here.
+  template <typename MakeFrame>
+  FramedBatch ProposeBatch(const Payload& encoded, MakeFrame&& make_frame) {
+    ChargeHash(encoded.size());
+    FramedBatch proposal;
+    proposal.digest = Digest::Of(encoded);
+    proposal.frame = make_frame(proposal.digest);
+    proposal.batch = Batch::DecodeFrameTail(proposal.frame, encoded.size());
+    if (memo_ != nullptr) {
+      const Payload tail = proposal.batch.encoded();
+      memo_->RecordDigest(tail.id(), tail.offset(), tail.size(),
+                          proposal.digest);
+    }
+    return proposal;
   }
 
   /// Decoder over `frame` carrying the run's memo — what every protocol's
@@ -212,7 +253,7 @@ class ReplicaBase : public MessageHandler {
   Transport* transport_;
   TimerService* timers_;
   const KeyStore* keystore_;
-  CryptoMemo* const memo_;  // the run's memo, owned by the composition root
+  CryptoMemo* const memo_;  // the run's memo (not owned), or null
   const PrincipalId id_;
   const ClusterConfig config_;
   const CostModel costs_;

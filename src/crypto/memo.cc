@@ -18,6 +18,13 @@ Digest CryptoMemo::DigestOf(uint64_t buffer_id, size_t offset,
   return digest;
 }
 
+void CryptoMemo::RecordDigest(uint64_t buffer_id, size_t offset, size_t len,
+                              const Digest& digest) {
+  if (buffer_id == 0) return;
+  if (digests_.size() >= kMaxEntries) digests_.clear();
+  digests_.emplace(DigestKey{buffer_id, offset, len}, digest);
+}
+
 const bool* CryptoMemo::FindVerdict(const VerifyKey& key) {
   auto it = verdicts_.find(key);
   if (it != verdicts_.end()) {

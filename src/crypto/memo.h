@@ -6,6 +6,18 @@
 // checks out, whether the requests inside the batch carry valid client
 // signatures. Those are pure functions of immutable bytes, so the first
 // receiver computes them for real and everyone else reuses the answer.
+// A proposal's batch is hashed by nobody downstream at all: its proposer
+// records the digest it computed from the batch bytes (RecordDigest) under
+// the frame tail's key before multicasting, so every receiver hits.
+// Together with execution reusing the slot's checked digest, a batch gets
+// one SHA-256 pass per simulated cluster (8 before: proposer, first
+// backup, and each of 6 replicas at execution, for Peacock c = m = 1).
+//
+// Where a memo exists: only where several receivers of one buffer share a
+// process, i.e. the simulator's Cluster. An rt::Node hosts one replica, so
+// nothing there could ever hit; it passes no memo and its replica computes
+// every digest and verdict directly (one pass per batch per node, 2
+// before).
 //
 // The charge-vs-compute contract (DESIGN.md §"Engine internals"): the memo
 // only elides *host* CPU work. Every caller still charges the full
@@ -15,8 +27,9 @@
 // buffer id, because (id, offset, length) names immutable bytes for the
 // whole process; id 0 (plain, unshared bytes) always computes for real.
 //
-// Ownership (DESIGN.md §"Concurrency model"): one CryptoMemo per run,
-// owned by the Cluster and threaded to its replicas and their decoders.
+// Ownership (DESIGN.md §"Concurrency model"): one CryptoMemo per simulated
+// run, owned by the Cluster and threaded to its replicas and their
+// decoders.
 // There is deliberately NO process-wide instance: a memo is single-threaded
 // like the simulator it serves, and giving each concurrently-executing run
 // its own table is what lets scenario::RunMany fan runs out across cores
@@ -50,6 +63,14 @@ class CryptoMemo {
   /// which computes without caching.
   Digest DigestOf(uint64_t buffer_id, size_t offset, const uint8_t* data,
                   size_t len);
+
+  /// Record `digest` as D(bytes) for [offset, offset+len) of buffer
+  /// `buffer_id`, so later DigestOf calls on that range hit. Same
+  /// precondition as DigestOf, plus: `digest` was computed from exactly
+  /// those bytes (a proposer that hashed the batch it then framed). Never
+  /// record a digest copied from a message header. buffer_id 0 is ignored.
+  void RecordDigest(uint64_t buffer_id, size_t offset, size_t len,
+                    const Digest& digest);
 
   /// Memoized signature verification: returns `verify()` for the first
   /// caller and the cached boolean afterwards. `signer` and `slot`

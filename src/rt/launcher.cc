@@ -121,7 +121,10 @@ class Launcher {
   Status AwaitCluster();
   void ScheduleRun();
   void ApplyScheduledEvent(const scenario::ScenarioEvent& event);
-  void FinishCrashPrimary();
+  /// Close the primary query in flight: kill the plurality answer (skipped
+  /// when nobody answered), or with a non-empty `skip_reason` record the
+  /// event as skipped for that reason.
+  void FinishCrashPrimary(const std::string& skip_reason);
   Status TamperWal(const scenario::ScenarioEvent& event);
   /// Send one fault command over the control channel to a single node /
   /// every live node.
@@ -157,6 +160,11 @@ class Launcher {
   /// Per-replica tallies of kPrimaryReply answers for an in-flight
   /// crash-primary event (empty when none is pending).
   std::vector<int> primary_votes_;
+  /// Answers (including "no primary known") still awaited for that query,
+  /// and its number: a deadline timer only closes the query it was armed
+  /// for.
+  int primary_replies_pending_ = 0;
+  uint64_t primary_query_ = 0;
   ControlSink control_sink_{this};
   SimTime t0_ = 0;
   SimTime measure_start_ = 0;
@@ -295,13 +303,16 @@ void Launcher::OnControlReply(PrincipalId from, Payload payload) {
          command.status().ToString());
     return;
   }
-  if (command->kind == ControlKind::kPrimaryReply && command->value > 0 &&
-      !primary_votes_.empty()) {
-    const int primary = static_cast<int>(command->value) - 1;
-    if (primary >= 0 && primary < config_.n()) {
-      primary_votes_[static_cast<size_t>(primary)] += 1;
-    }
+  if (command->kind != ControlKind::kPrimaryReply || primary_votes_.empty()) {
+    return;
   }
+  const int primary = static_cast<int>(command->value) - 1;
+  if (primary >= 0 && primary < config_.n()) {
+    primary_votes_[static_cast<size_t>(primary)] += 1;
+  }
+  // Decide as soon as every node asked has answered; the deadline timer
+  // covers nodes that never do.
+  if (--primary_replies_pending_ <= 0) FinishCrashPrimary("");
 }
 
 Status Launcher::TamperWal(const scenario::ScenarioEvent& event) {
@@ -474,12 +485,25 @@ void Launcher::ApplyScheduledEvent(const scenario::ScenarioEvent& event) {
     }
     case EventKind::kCrashPrimary: {
       // Nobody here knows the view; ask every live node over the control
-      // channel and kill the plurality answer once the replies are in.
+      // channel and kill the plurality answer once all of them replied, or
+      // at the deadline with whatever answers arrived.
+      if (!primary_votes_.empty()) {
+        FinishCrashPrimary("a newer crash-primary event superseded it");
+      }
       primary_votes_.assign(static_cast<size_t>(config_.n()), 0);
+      primary_replies_pending_ = 0;
+      for (const Child& child : children_) {
+        if (child.alive) ++primary_replies_pending_;
+      }
+      const uint64_t query_id = ++primary_query_;
       FaultCommand query;
       query.kind = ControlKind::kQueryPrimary;
       BroadcastControl(query);
-      loop_->ScheduleAfter(Millis(300), [this] { FinishCrashPrimary(); });
+      loop_->ScheduleAfter(Millis(300), [this, query_id] {
+        if (query_id == primary_query_ && !primary_votes_.empty()) {
+          FinishCrashPrimary("");
+        }
+      });
       return;  // the decision records the applied event
     }
   }
@@ -487,9 +511,17 @@ void Launcher::ApplyScheduledEvent(const scenario::ScenarioEvent& event) {
   applied_.push_back(std::move(applied));
 }
 
-void Launcher::FinishCrashPrimary() {
+void Launcher::FinishCrashPrimary(const std::string& skip_reason) {
   scenario::AppliedEvent applied;
   applied.at = loop_->Now() - t0_;
+  if (!skip_reason.empty()) {
+    primary_votes_.clear();
+    applied.description =
+        "crash the current primary (skipped: " + skip_reason + ")";
+    Note(applied.description);
+    applied_.push_back(std::move(applied));
+    return;
+  }
   int best = -1;
   for (int r = 0; r < config_.n(); ++r) {
     if (primary_votes_[static_cast<size_t>(r)] == 0) continue;
@@ -683,6 +715,9 @@ Result<TcpRunReport> Launcher::Run() {
              Seconds(30));
   const SimTime run_end = loop_->Now();
   if (measure_end_ == 0) measure_end_ = run_end;  // loop died early
+  if (!primary_votes_.empty()) {
+    FinishCrashPrimary("the run ended before the primary query was decided");
+  }
 
   ReapAll();
 

@@ -66,22 +66,24 @@ std::unique_ptr<ReplicaBase> Node::MakeReplica() {
   TimerService* timers = loop_.get();
   const ClusterConfig& config = cluster_options_.config;
   const int i = options_.replica_id;
+  // One replica per process: a memo shared by the receivers of one buffer
+  // could never hit here (crypto/memo.h), so the replica runs memo-less.
   switch (config.kind) {
     case ProtocolKind::kCft:
       return std::make_unique<PaxosReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
+          transport, timers, keystore_.get(), /*memo=*/nullptr, i, config,
           cluster_options_.state_machine_factory(), cluster_options_.costs);
     case ProtocolKind::kBft:
       return std::make_unique<PbftReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
+          transport, timers, keystore_.get(), /*memo=*/nullptr, i, config,
           cluster_options_.state_machine_factory(), cluster_options_.costs);
     case ProtocolKind::kSUpRight:
       return std::make_unique<SUpRightReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
+          transport, timers, keystore_.get(), /*memo=*/nullptr, i, config,
           cluster_options_.state_machine_factory(), cluster_options_.costs);
     case ProtocolKind::kSeeMoRe:
       return std::make_unique<SeeMoReReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
+          transport, timers, keystore_.get(), /*memo=*/nullptr, i, config,
           cluster_options_.state_machine_factory(), cluster_options_.costs);
   }
   return nullptr;
@@ -151,7 +153,6 @@ Status Node::Init() {
   // identical per-principal keys from the spec seed.
   keystore_ = std::make_unique<KeyStore>(cluster_options_.seed ^
                                          0x5eed'c0de'5eed'c0deULL);
-  memo_ = std::make_unique<CryptoMemo>();
 
   replica_ = MakeReplica();
   if (replica_ == nullptr) return Status::Internal("unknown protocol kind");

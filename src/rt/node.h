@@ -92,7 +92,6 @@ class Node {
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<TcpTransport> transport_;
   std::unique_ptr<KeyStore> keystore_;
-  std::unique_ptr<CryptoMemo> memo_;
   std::unique_ptr<PosixMedium> medium_;
   std::unique_ptr<storage::FileDurableStore> store_;
   std::unique_ptr<ReplicaBase> replica_;

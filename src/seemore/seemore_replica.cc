@@ -205,13 +205,13 @@ void SeeMoReReplica::TryPropose() {
          pipeline_.next_seq() <= ckpt_.stable_seq() + window_) {
     auto [seq, batch] = pipeline_.Open();
     const Payload encoded = batch.Encode();  // the proposal's one encode
-    ChargeHash(encoded.size());
-    Digest digest = Digest::Of(encoded);
     const uint8_t mode8 = static_cast<uint8_t>(mode_);
 
     // A Byzantine Peacock primary may equivocate; trusted primaries cannot
     // be flagged (tests assert this invariant).
     if (HasByz(kByzEquivocate) && mode_ == SeeMoReMode::kPeacock) {
+      ChargeHash(encoded.size());
+      const Digest digest = Digest::Of(encoded);
       const Payload alt_encoded = Batch::Noop().Encode();
       const Digest alt_digest = Digest::Of(alt_encoded);
       SmPrepareMsg prep_a{mode8, view_, seq, digest, Signature(), encoded};
@@ -230,25 +230,29 @@ void SeeMoReReplica::TryPropose() {
       continue;
     }
 
-    ChargeSign();
-    SmPrepareMsg prepare{mode8, view_, seq, digest, Signature(), encoded};
-    prepare.sig = signer_.Sign(prepare.Header());
-    const Payload frame = prepare.ToMessage();
+    Signature sig;
+    FramedBatch proposal = ProposeBatch(encoded, [&](const Digest& digest) {
+      ChargeSign();
+      SmPrepareMsg prepare{mode8, view_, seq, digest, Signature(), encoded};
+      prepare.sig = signer_.Sign(prepare.Header());
+      sig = prepare.sig;
+      return Payload(prepare.ToMessage());
+    });
 
     SlotCore& slot = log_.Slot(seq);
-    slot.batch = Batch::DecodeFrameTail(frame, encoded.size());
+    slot.batch = std::move(proposal.batch);
     slot.has_batch = true;
-    slot.digest = digest;
+    slot.digest = proposal.digest;
     slot.view = view_;
     slot.mode = mode_;
-    slot.primary_sig = prepare.sig;
+    slot.primary_sig = sig;
 
     // In every mode the proposal is multicast to ALL replicas (Algorithm 1
     // line 8, Algorithm 2 line 9, §5.3 change #1).
-    SendToMany(config_.AllReplicas(), frame);
+    SendToMany(config_.AllReplicas(), proposal.frame);
 
     if (mode_ == SeeMoReMode::kLion) {
-      RecordVote(slot.plain_votes, digest, id_);  // the primary counts itself
+      RecordVote(slot.plain_votes, slot.digest, id_);  // counts itself
     } else if (mode_ == SeeMoReMode::kPeacock) {
       // Peacock primary's pre-prepare does not count as a prepare echo;
       // it waits for 2m echoes from the other proxies.
@@ -585,7 +589,7 @@ void SeeMoReReplica::CommitSlot(uint64_t seq, SlotCore& slot, bool replies,
   if (slot.committed) return;
   commits().MarkCommitted(slot);
   if (informs) SendInform(seq, slot);
-  std::vector<ExecutedRequest> executed = commits().Execute(seq, slot.batch);
+  std::vector<ExecutedRequest> executed = commits().Execute(seq, slot);
   for (const ExecutedRequest& ex : executed) {
     if (replies && !(ex.duplicate && ex.result.empty())) SendReply(ex);
   }

@@ -152,8 +152,8 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
   // cluster config, so n receivers of one multicast VIEW-CHANGE share the
   // real crypto through the memo. Slots index the frame's sets; the
   // charged simulated cost (HandleViewChange) is unaffected. frame_id 0
-  // (own-message validation) computes everything for real.
-  CryptoMemo& memo = *memo_;
+  // (own-message validation) or a memo-less replica computes everything
+  // for real.
   constexpr uint32_t kCertSlot = static_cast<uint32_t>(kSmViewChange) << 24;
   constexpr uint32_t kPrepareSlots = kCertSlot | (1u << 20);
   constexpr uint32_t kCommitSlots = kCertSlot | (2u << 20);
@@ -162,8 +162,8 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
   VcRecord record;
   record.mode = static_cast<SeeMoReMode>(msg.mode);
   record.stable_seq = msg.stable_seq;
-  if (!memo.Verify(frame_id, from, kCertSlot,
-                   [&] { return VerifyCheckpointCert(msg.cert); })) {
+  if (!VerifyMemoized(frame_id, from, kCertSlot,
+                      [&] { return VerifyCheckpointCert(msg.cert); })) {
     return Status::Corruption("invalid checkpoint cert in view-change");
   }
   if (!msg.cert.IsGenesis() && msg.cert.seq() < msg.stable_seq) {
@@ -173,9 +173,9 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
 
   for (size_t i = 0; i < msg.prepares.size(); ++i) {
     SmVcEntry& entry = msg.prepares[i];
-    if (!memo.Verify(frame_id, from,
-                     kPrepareSlots | static_cast<uint32_t>(i),
-                     [&] { return VerifyVcPrepareEntry(entry); })) {
+    if (!VerifyMemoized(frame_id, from,
+                        kPrepareSlots | static_cast<uint32_t>(i),
+                        [&] { return VerifyVcPrepareEntry(entry); })) {
       return Status::Corruption("invalid prepare entry signature");
     }
     const uint64_t seq = entry.seq;
@@ -194,8 +194,9 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
       return keystore_->Verify(config_.TrustedPrimary(entry.view), header,
                                entry.sig);
     };
-    if (!memo.Verify(frame_id, from, kCommitSlots | static_cast<uint32_t>(i),
-                     verify_commit_entry)) {
+    if (!VerifyMemoized(frame_id, from,
+                        kCommitSlots | static_cast<uint32_t>(i),
+                        verify_commit_entry)) {
       return Status::Corruption("invalid commit entry signature");
     }
     const uint64_t seq = entry.seq;
@@ -217,8 +218,9 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
              (authority != proposer &&
               proof.Verify(*keystore_, authority, 2 * config_.m, authorized));
     };
-    if (!memo.Verify(frame_id, from, kProofSlots | static_cast<uint32_t>(i),
-                     verify_proof)) {
+    if (!VerifyMemoized(frame_id, from,
+                        kProofSlots | static_cast<uint32_t>(i),
+                        verify_proof)) {
       return Status::Corruption("invalid prepared proof");
     }
     const uint64_t seq = proof.seq;

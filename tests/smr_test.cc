@@ -170,13 +170,19 @@ Request MakeTestRequest(PrincipalId client, uint64_t ts) {
   return r;
 }
 
+/// Commit a batch the way WAL replay does: with its freshly computed digest.
+std::vector<ExecutedRequest> CommitBatch(ExecutionEngine& engine, uint64_t seq,
+                                         const Batch& batch) {
+  return engine.Commit(seq, batch, batch.ComputeDigest());
+}
+
 TEST(ExecutionEngineTest, InOrderExecution) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b1{{MakeTestRequest(kClientIdBase, 1)}};
   Batch b2{{MakeTestRequest(kClientIdBase, 2)}};
-  EXPECT_EQ(engine.Commit(1, b1).size(), 1u);
+  EXPECT_EQ(CommitBatch(engine, 1, b1).size(), 1u);
   EXPECT_EQ(engine.last_executed(), 1u);
-  EXPECT_EQ(engine.Commit(2, b2).size(), 1u);
+  EXPECT_EQ(CommitBatch(engine, 2, b2).size(), 1u);
   EXPECT_EQ(engine.last_executed(), 2u);
 }
 
@@ -184,13 +190,13 @@ TEST(ExecutionEngineTest, BuffersGaps) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b1{{MakeTestRequest(kClientIdBase, 1)}};
   Batch b3{{MakeTestRequest(kClientIdBase, 3)}};
-  EXPECT_TRUE(engine.Commit(3, b3).empty());  // gap: waits for 1, 2
+  EXPECT_TRUE(CommitBatch(engine, 3, b3).empty());  // gap: waits for 1, 2
   EXPECT_EQ(engine.last_executed(), 0u);
   EXPECT_TRUE(engine.HasCommitted(3));
   Batch b2{{MakeTestRequest(kClientIdBase, 2)}};
-  EXPECT_EQ(engine.Commit(1, b1).size(), 1u);
+  EXPECT_EQ(CommitBatch(engine, 1, b1).size(), 1u);
   // Committing 2 releases both 2 and 3.
-  EXPECT_EQ(engine.Commit(2, b2).size(), 2u);
+  EXPECT_EQ(CommitBatch(engine, 2, b2).size(), 2u);
   EXPECT_EQ(engine.last_executed(), 3u);
 }
 
@@ -198,13 +204,13 @@ TEST(ExecutionEngineTest, ExactlyOnceDeduplication) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Request put = MakeTestRequest(kClientIdBase, 5);
   put.op = MakePut("a", "1");
-  auto first = engine.Commit(1, Batch{{put}});
+  auto first = CommitBatch(engine, 1, Batch{{put}});
   ASSERT_EQ(first.size(), 1u);
   EXPECT_FALSE(first[0].duplicate);
 
   // The same (client, timestamp) committed again at a later seq must NOT
   // re-execute, and the cached reply is returned.
-  auto second = engine.Commit(2, Batch{{put}});
+  auto second = CommitBatch(engine, 2, Batch{{put}});
   ASSERT_EQ(second.size(), 1u);
   EXPECT_TRUE(second[0].duplicate);
   EXPECT_EQ(second[0].result, first[0].result);
@@ -216,15 +222,15 @@ TEST(ExecutionEngineTest, ExactlyOnceDeduplication) {
 TEST(ExecutionEngineTest, DuplicateSeqIgnored) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b{{MakeTestRequest(kClientIdBase, 1)}};
-  EXPECT_EQ(engine.Commit(1, b).size(), 1u);
-  EXPECT_TRUE(engine.Commit(1, b).empty());
+  EXPECT_EQ(CommitBatch(engine, 1, b).size(), 1u);
+  EXPECT_TRUE(CommitBatch(engine, 1, b).empty());
 }
 
 TEST(ExecutionEngineTest, SnapshotRestoreCarriesReplyCache) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Request put = MakeTestRequest(kClientIdBase, 1);
   put.op = MakePut("k", "v");
-  engine.Commit(1, Batch{{put}});
+  CommitBatch(engine, 1, Batch{{put}});
   Bytes snapshot = engine.Snapshot();
   Digest digest = engine.StateDigest();
 
@@ -241,9 +247,24 @@ TEST(ExecutionEngineTest, SnapshotRestoreCarriesReplyCache) {
 TEST(ExecutionEngineTest, ExecutedDigestsTrackHistory) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b1{{MakeTestRequest(kClientIdBase, 1)}};
-  engine.Commit(1, b1);
+  CommitBatch(engine, 1, b1);
   ASSERT_EQ(engine.executed_digests().size(), 1u);
   EXPECT_EQ(engine.executed_digests().at(1), b1.ComputeDigest());
+}
+
+TEST(ExecutionEngineTest, AuditTrailRecordsTheCommittedDigestAsGiven) {
+  // The engine never rehashes: the trail holds the digest the committing
+  // slot passed in, including for batches released from the gap buffer.
+  ExecutionEngine engine(std::make_unique<KvStateMachine>());
+  const Digest d1 = Digest::Of(std::string("slot-1"));
+  const Digest d2 = Digest::Of(std::string("slot-2"));
+  EXPECT_TRUE(engine.Commit(2, Batch{{MakeTestRequest(kClientIdBase, 2)}}, d2)
+                  .empty());
+  EXPECT_EQ(engine.Commit(1, Batch{{MakeTestRequest(kClientIdBase, 1)}}, d1)
+                .size(),
+            2u);
+  EXPECT_EQ(engine.executed_digests().at(1), d1);
+  EXPECT_EQ(engine.executed_digests().at(2), d2);
 }
 
 TEST(ExecutionEngineTest, ReplyRetentionBoundsCacheSize) {
@@ -261,7 +282,7 @@ TEST(ExecutionEngineTest, ReplyRetentionBoundsCacheSize) {
     Batch batch{{MakeTestRequest(kClientIdBase, seq),
                  MakeTestRequest(kClientIdBase + static_cast<PrincipalId>(seq),
                                  1)}};
-    ASSERT_EQ(engine.Commit(seq, batch).size(), 2u);
+    ASSERT_EQ(CommitBatch(engine, seq, batch).size(), 2u);
     // Active-client bound: the returning client + the one-shots whose seq
     // lies in the retention window [last_executed - R, last_executed].
     EXPECT_LE(engine.reply_cache_size(), kRetention + 2);
@@ -295,9 +316,9 @@ TEST(ExecutionEngineTest, ReplyRetentionSurvivesSnapshotRestore) {
   ExecutionEngine donor(std::make_unique<KvStateMachine>());
   donor.SetReplyRetention(kRetention);
   // The idle client executes only at seq 1; the active client every seq.
-  donor.Commit(1, Batch{{MakeTestRequest(kIdle, 1), MakeTestRequest(kActive, 1)}});
+  CommitBatch(donor, 1, Batch{{MakeTestRequest(kIdle, 1), MakeTestRequest(kActive, 1)}});
   for (uint64_t seq = 2; seq <= 3; ++seq) {
-    donor.Commit(seq, Batch{{MakeTestRequest(kActive, seq)}});
+    CommitBatch(donor, seq, Batch{{MakeTestRequest(kActive, seq)}});
   }
   ASSERT_EQ(donor.reply_cache_size(), 2u);
 
@@ -313,8 +334,8 @@ TEST(ExecutionEngineTest, ReplyRetentionSurvivesSnapshotRestore) {
   // digests must stay pairwise identical the whole way.
   for (uint64_t seq = 4; seq <= 8; ++seq) {
     Batch batch{{MakeTestRequest(kActive, seq)}};
-    donor.Commit(seq, batch);
-    restored.Commit(seq, batch);
+    CommitBatch(donor, seq, batch);
+    CommitBatch(restored, seq, batch);
     EXPECT_EQ(restored.StateDigest(), donor.StateDigest()) << "seq " << seq;
     EXPECT_EQ(restored.reply_cache_size(), donor.reply_cache_size())
         << "seq " << seq;
@@ -333,11 +354,11 @@ TEST(ExecutionEngineTest, RetentionOffSnapshotKeepsHistoricalLayout) {
   put.op = MakePut("k", "v");
 
   ExecutionEngine plain(std::make_unique<KvStateMachine>());
-  plain.Commit(1, Batch{{put}});
+  CommitBatch(plain, 1, Batch{{put}});
 
   ExecutionEngine bounded(std::make_unique<KvStateMachine>());
   bounded.SetReplyRetention(16);
-  bounded.Commit(1, Batch{{put}});
+  CommitBatch(bounded, 1, Batch{{put}});
 
   Bytes plain_snap = plain.Snapshot();
   Bytes bounded_snap = bounded.Snapshot();
